@@ -83,14 +83,18 @@ namespace robust_detail {
 // 32-bit interned ranks of sim/key_intern.hpp.  Rank order is key order by
 // construction, so one copy of each rule serves both — a tie-break tweak
 // cannot diverge the bit-identity twins.
+//
+// median3 is max(min(a, b), min(max(a, b), c)) written as value selects,
+// which compile to branch-free cmov chains on ranks (the 3-TOURNAMENT
+// commit's three samples are random, so branches would mispredict).  On
+// ties it may pick a different argument than a branching version, but the
+// median's value is unique, so the result is the same.
 template <typename T>
-inline const T& median3(const T& a, const T& b, const T& c) {
-  if (a < b) {
-    if (b < c) return b;
-    return a < c ? c : a;
-  }
-  if (a < c) return a;
-  return b < c ? c : b;
+inline T median3(const T& a, const T& b, const T& c) {
+  const T lo = b < a ? b : a;
+  const T hi = b < a ? a : b;
+  const T mid = c < hi ? c : hi;
+  return mid < lo ? lo : mid;
 }
 
 // Commit rule of one good node in a robust 2-TOURNAMENT iteration: the

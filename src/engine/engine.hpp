@@ -122,16 +122,6 @@ class Engine {
                                      : kDefaultGatherBlock;
   }
 
-  // Tuned default for EngineConfig::intern_min_nodes: at 2^16 nodes the
-  // Key-typed state (~1.5 MB) outgrows the private caches, which is where
-  // the interned rank lanes start paying for their sort.
-  static constexpr std::uint32_t kDefaultInternMinNodes = 1u << 16;
-
-  [[nodiscard]] std::uint32_t intern_min_nodes() const noexcept {
-    return config_.intern_min_nodes != 0 ? config_.intern_min_nodes
-                                         : kDefaultInternMinNodes;
-  }
-
   // ---- sequential-compatible primitives --------------------------------
 
   // Starts the next synchronous round and returns its index.

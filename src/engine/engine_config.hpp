@@ -27,17 +27,6 @@ struct EngineConfig {
   // by tests/test_engine.cpp).  0 picks the tuned default.
   std::uint32_t gather_block = 0;
 
-  // Minimum node count at which the failure-free tournament and
-  // median-dynamics kernels switch their ping-pong state from pooled Key
-  // buffers to interned 32-bit rank lanes (sim/key_intern.hpp).  Below
-  // it the whole state is cache-resident, so the O(n log n) intern costs
-  // more than the compact gathers save; above it the 6x smaller gather
-  // footprint dominates.  Purely a performance knob (results and Metrics
-  // are identical under either representation); 0 picks the tuned
-  // default.  The robust kernels always intern — their repeated fan-out
-  // pulls amortise the sort even at small n.
-  std::uint32_t intern_min_nodes = 0;
-
   // Pin worker threads to distinct cores so first-touch page placement
   // (FirstTouchBuffer, scatter mailbox rows) survives scheduler migration.
   // Opt-in: pinning a shared machine's cores is a policy decision the

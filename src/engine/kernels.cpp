@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,17 +24,18 @@ constexpr std::uint32_t kPrefetchAhead = 16;
 // ---- compact interned state lanes -----------------------------------------
 //
 // Every tournament-shaped kernel runs on 32-bit rank lanes instead of
-// Key-typed buffers: the state's distinct keys are interned once into a
-// sorted table (sim/key_intern.hpp) and the ping-pong buffers hold ranks.
-// Rank order is key order, so min/max/median/nth_element commits decide
+// Key-typed buffers, at every n: the state's distinct keys are interned
+// once into a sorted table (sim/key_intern.hpp) and the ping-pong buffers
+// hold ranks.  Rank order is key order, so min/max/median commits decide
 // identically — what changes is that a round's random peer gather touches
 // a 4-byte lane entry (16 per cache line) instead of a Key-sized record,
 // which at n = 10^6..10^7 is the difference between latency-bound misses
-// and a prefetchable stream.
+// and a prefetchable stream, and that the final K-sample median runs as a
+// branch-free comparator network over ranks (rank_median).
 //
 // The session fields let consecutive kernels of one pipeline (two- then
-// three-tournament; robust two then robust three) skip the O(n log n)
-// re-intern: a kernel exports table[lane] back into the caller's vector on
+// three-tournament; robust two then robust three) skip the re-intern:
+// a kernel exports table[lane] back into the caller's vector on
 // exit and records that lane A still encodes it; the next kernel VERIFIES
 // the claim with one exact parallel compare pass (state[v] == table[lane[v]]
 // for all v) and re-interns only on mismatch.  The check is exact — there
@@ -59,8 +59,8 @@ struct LaneScratch {
 
 // Puts `state` into lane A as ranks, reusing the previous session's table
 // and lane when the verify pass proves them current (one gather pass, ~one
-// round's cost) and re-interning otherwise (one sort, amortised over the
-// dozens of gather rounds the lanes then serve).
+// round's cost) and re-interning otherwise (one radix sort, amortised over
+// the dozens of gather rounds the lanes then serve).
 void lane_import(Engine& engine, std::span<const Key> state, LaneScratch& s) {
   const auto n = static_cast<std::uint32_t>(state.size());
   s.ensure(n, engine.num_shards());
@@ -121,7 +121,6 @@ void lane_settle(LaneScratch& s, std::span<const std::uint32_t> cur) {
 struct PickScratch {
   FirstTouchBuffer<std::uint32_t> p0, p1, p2;
   std::vector<std::uint32_t> wide;
-  std::vector<Key> wide_keys;  // sample slices of the Key representation
 
   void ensure(std::uint32_t n) {
     p0.ensure(n);
@@ -131,9 +130,6 @@ struct PickScratch {
   void ensure_wide(std::size_t slots) {
     if (wide.size() < slots) wide.resize(slots);
   }
-  void ensure_wide_keys(std::size_t slots) {
-    if (wide_keys.size() < slots) wide_keys.resize(slots);
-  }
 };
 
 // One median-of-three rule for every executor and kernel: the shared
@@ -141,10 +137,9 @@ struct PickScratch {
 // cannot diverge the bit-identity twins.
 using robust_detail::median3;
 
-// Pooled Key-typed ping-pong buffers: the below-intern-threshold
-// representation of the failure-free kernels (see EngineConfig::
-// intern_min_nodes — small states are cache-resident, so blocked prefetch
-// over Key records beats paying an O(n log n) intern).
+// Pooled Key-typed ping-pong buffers: median dynamics' representation for
+// short runs (see median_dynamics), where one intern would cost about as
+// much as the handful of rounds it speeds up.
 struct KeyPairScratch {
   std::vector<Key> a, b;
 
@@ -250,200 +245,6 @@ RuntimeResult median_dynamics_rounds(
   return out;
 }
 
-// The 2-TOURNAMENT iteration loop, templated over the state
-// representation (interned ranks or Keys) exactly like
-// median_dynamics_rounds.  Returns the live buffer via *live.
-template <typename T>
-std::size_t two_tournament_rounds(Engine& engine, std::span<T> cur,
-                                  std::span<T> next,
-                                  std::span<std::uint32_t> first,
-                                  std::span<std::uint32_t> second,
-                                  const TwoTournamentSchedule& schedule,
-                                  bool truncate_last, bool suppress_high,
-                                  std::uint64_t bits, const T** live) {
-  const std::uint32_t block = engine.gather_block();
-  std::size_t iterations = 0;
-  for (std::size_t iter = 0; iter < schedule.iterations(); ++iter) {
-    GQ_SPAN("tournament/two_iteration");
-    const double delta = truncate_last ? schedule.delta[iter] : 1.0;
-
-    // Round 1: every node pulls its first sample.  Pick pass only; `cur`
-    // is the iteration snapshot and stays immutable until the commit.
-    engine.begin_round();
-    engine.parallel_shards(
-        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-          for (std::uint32_t v = begin; v < end; ++v) {
-            SplitMix64 stream = engine.node_stream(v);
-            first[v] = engine.sample_peer(v, stream);
-          }
-          local.record_messages(end - begin, bits);
-        });
-
-    // Round 2: the delta coin and, if it lands, the second sample — then
-    // the tournament commit, blocked: draws, prefetches over both samples'
-    // state lines, compute against warm lines.  Per-node draw order (coin,
-    // then peer, from one stream) is exactly the sequential path's.
-    engine.begin_round();
-    engine.parallel_shards(
-        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-          std::uint64_t sent = 0;
-          for (std::uint32_t b0 = begin; b0 < end; b0 += block) {
-            const std::uint32_t b1 = std::min(b0 + block, end);
-            for (std::uint32_t v = b0; v < b1; ++v) {
-              SplitMix64 stream = engine.node_stream(v);
-              const bool tournament =
-                  delta >= 1.0 || rand_bernoulli(stream, delta);
-              if (tournament) {
-                second[v] = engine.sample_peer(v, stream);
-                ++sent;
-              } else {
-                second[v] = Engine::kNoPeer;
-              }
-            }
-            for (std::uint32_t v = b0; v < b1; ++v) {
-              prefetch_read(&cur[first[v]]);
-              if (second[v] != Engine::kNoPeer) {
-                prefetch_read(&cur[second[v]]);
-              }
-            }
-            for (std::uint32_t v = b0; v < b1; ++v) {
-              const T& a = cur[first[v]];
-              if (second[v] == Engine::kNoPeer) {
-                next[v] = a;
-              } else {
-                const T& b = cur[second[v]];
-                next[v] = suppress_high ? std::min(a, b) : std::max(a, b);
-              }
-            }
-          }
-          local.record_messages(sent, bits);
-        });
-    std::swap(cur, next);
-
-    ++iterations;
-  }
-  *live = cur.data();
-  return iterations;
-}
-
-// The 3-TOURNAMENT iteration loop plus the fused final K-sampling step,
-// templated like two_tournament_rounds.  key_of maps a state entry to the
-// Key it denotes (identity for the Key representation, a table lookup for
-// ranks) — only the final outputs materialise Keys.
-template <typename T, typename KeyOf>
-std::size_t three_tournament_rounds(
-    Engine& engine, PickScratch& picks, std::span<T> cur, std::span<T> next,
-    const std::array<std::span<std::uint32_t>, 3>& pk,
-    const ThreeTournamentSchedule& schedule, std::uint32_t k_samples,
-    std::uint64_t bits, std::vector<Key>& outputs, KeyOf&& key_of,
-    const T** live) {
-  const std::uint32_t n = engine.size();
-  const std::uint32_t block = engine.gather_block();
-  std::size_t iterations = 0;
-  for (std::size_t iter = 0; iter < schedule.iterations(); ++iter) {
-    GQ_SPAN("tournament/three_iteration");
-    // Three pulls = three rounds, all reading the iteration-start state
-    // (`cur` is immutable until the commit, which writes `next`).  The
-    // first two are pure pick passes; the third is blocked — its draws,
-    // prefetches over all three samples' state lines, and the fused
-    // median commit run per block against warm lines.
-    for (int pull = 0; pull < 3; ++pull) {
-      engine.begin_round();
-      engine.parallel_shards(
-          [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-            const auto& out_picks = pk[static_cast<std::size_t>(pull)];
-            if (pull < 2) {
-              for (std::uint32_t v = begin; v < end; ++v) {
-                SplitMix64 stream = engine.node_stream(v);
-                out_picks[v] = engine.sample_peer(v, stream);
-              }
-            } else {
-              for (std::uint32_t b0 = begin; b0 < end; b0 += block) {
-                const std::uint32_t b1 = std::min(b0 + block, end);
-                for (std::uint32_t v = b0; v < b1; ++v) {
-                  SplitMix64 stream = engine.node_stream(v);
-                  out_picks[v] = engine.sample_peer(v, stream);
-                }
-                for (std::uint32_t v = b0; v < b1; ++v) {
-                  prefetch_read(&cur[pk[0][v]]);
-                  prefetch_read(&cur[pk[1][v]]);
-                  prefetch_read(&cur[pk[2][v]]);
-                }
-                for (std::uint32_t v = b0; v < b1; ++v) {
-                  next[v] =
-                      median3(cur[pk[0][v]], cur[pk[1][v]], cur[pk[2][v]]);
-                }
-              }
-            }
-            local.record_messages(end - begin, bits);
-          });
-    }
-    std::swap(cur, next);
-    ++iterations;
-  }
-
-  // Final step: every node samples K values and outputs their median.  The
-  // tournament state is immutable during these rounds, so the K sampling
-  // rounds fuse into one parallel section: the round counter advances K
-  // times up front, and each node derives the per-round streams directly —
-  // the same (seed, round, v) derivation the per-round kernel would use,
-  // so draws and Metrics are bit-identical while the K-pass sample matrix
-  // disappears entirely.  Each node's K picks are drawn (and prefetched)
-  // before its K gathers, so the draw ALU covers the miss latency.
-  const std::uint64_t first_sample_round = engine.round() + 1;
-  for (std::uint32_t j = 0; j < k_samples; ++j) engine.begin_round();
-  outputs.resize(n);
-  constexpr std::uint32_t kMaxStackSamples = 64;
-  const std::size_t shards = engine.num_shards();
-  const auto wide_k = static_cast<std::size_t>(k_samples);
-  if (k_samples > kMaxStackSamples) {
-    // Oversized K: per-shard pick and sample slices come from pooled
-    // lanes, so even this path allocates nothing in steady state.  Picks
-    // are always 32-bit; samples live in the pool matching the state
-    // representation (ranks share `wide` behind the pick region).
-    if constexpr (std::is_same_v<T, Key>) {
-      picks.ensure_wide(shards * wide_k);
-      picks.ensure_wide_keys(shards * wide_k);
-    } else {
-      picks.ensure_wide(2 * shards * wide_k);
-    }
-  }
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-        std::uint32_t stack_picks[kMaxStackSamples];
-        T stack_samples[kMaxStackSamples];
-        std::uint32_t* pick = stack_picks;
-        T* samp = stack_samples;
-        if (k_samples > kMaxStackSamples) {
-          const std::size_t shard = engine.shard_of(begin);
-          pick = picks.wide.data() + shard * wide_k;
-          if constexpr (std::is_same_v<T, Key>) {
-            samp = picks.wide_keys.data() + shard * wide_k;
-          } else {
-            samp = picks.wide.data() + (shards + shard) * wide_k;
-          }
-        }
-        for (std::uint32_t v = begin; v < end; ++v) {
-          for (std::uint32_t j = 0; j < k_samples; ++j) {
-            SplitMix64 stream = streams::node_stream(
-                engine.seed(), first_sample_round + j, v);
-            pick[j] = engine.sample_peer(v, stream);
-            prefetch_read(&cur[pick[j]]);
-          }
-          for (std::uint32_t j = 0; j < k_samples; ++j) {
-            samp[j] = cur[pick[j]];
-          }
-          T* const mid = samp + k_samples / 2;
-          std::nth_element(samp, mid, samp + k_samples);
-          outputs[v] = key_of(*mid);
-        }
-        local.record_messages(
-            static_cast<std::uint64_t>(k_samples) * (end - begin), bits);
-      });
-  *live = cur.data();
-  return iterations;
-}
-
 }  // namespace
 
 RuntimeResult median_dynamics(Engine& engine, std::vector<Key>& state,
@@ -463,18 +264,15 @@ RuntimeResult median_dynamics(Engine& engine, std::vector<Key>& state,
   const std::span<std::uint32_t> first = picks.p0.span(n);
   const std::span<std::uint32_t> second = picks.p1.span(n);
 
-  // Representation choice: interning costs an O(n log n) sort amortised
-  // over the gather rounds it shrinks, and median dynamics runs a
-  // caller-chosen iteration count that is often tiny (the scale benches
-  // run 2-3).  Short runs — and small states, which are cache-resident
-  // anyway (EngineConfig::intern_min_nodes) — therefore stay on pooled
-  // Key buffers, where the blocked prefetch still hides the gather
-  // latency; long large runs intern.  The representation is unobservable
-  // (same draws, same commit rule, same Metrics), so the thresholds are
-  // pure tuning.
+  // Representation choice: median dynamics runs a caller-chosen iteration
+  // count that is often tiny (the scale benches run 2-3), and at n = 2^20
+  // a 3-iteration run on Key buffers costs about what the intern alone
+  // does.  Short runs therefore stay on pooled Key buffers, where the
+  // blocked prefetch still hides the gather latency; longer runs intern.
+  // The representation is unobservable (same draws, same commit rule, same
+  // Metrics), so the threshold is pure tuning.
   constexpr std::uint64_t kInternMinIterations = 8;
-  if (iterations >= kInternMinIterations &&
-      n >= engine.intern_min_nodes()) {
+  if (iterations >= kInternMinIterations) {
     auto& lanes = engine.scratch<LaneScratch>();
     lane_import(engine, state, lanes);
     const std::uint32_t* live = nullptr;
@@ -515,32 +313,77 @@ TwoTournamentOutcome two_tournament(Engine& engine, std::vector<Key>& state,
   out.schedule = two_tournament_schedule(start, eps);
   const bool suppress_high = side == TournamentSide::kSuppressHigh;
   const std::uint64_t bits = key_bits(n);
+  const std::uint32_t block = engine.gather_block();
 
   auto& picks = engine.scratch<PickScratch>();
   picks.ensure(n);
   const std::span<std::uint32_t> first = picks.p0.span(n);
   const std::span<std::uint32_t> second = picks.p1.span(n);
+  auto& lanes = engine.scratch<LaneScratch>();
+  lane_import(engine, state, lanes);
+  std::span<std::uint32_t> cur(lanes.lane_a.data(), n);
+  std::span<std::uint32_t> next(lanes.lane_b.data(), n);
 
-  if (n >= engine.intern_min_nodes()) {
-    auto& lanes = engine.scratch<LaneScratch>();
-    lane_import(engine, state, lanes);
-    const std::uint32_t* live = nullptr;
-    out.iterations = two_tournament_rounds<std::uint32_t>(
-        engine, {lanes.lane_a.data(), n}, {lanes.lane_b.data(), n}, first,
-        second, out.schedule, truncate_last, suppress_high, bits, &live);
-    lane_settle(lanes, std::span<const std::uint32_t>(live, n));
-    lane_export(engine, lanes, state);
-    return out;
+  for (std::size_t iter = 0; iter < out.schedule.iterations(); ++iter) {
+    GQ_SPAN("tournament/two_iteration");
+    const double delta = truncate_last ? out.schedule.delta[iter] : 1.0;
+
+    // Round 1: every node pulls its first sample.  Pick pass only; `cur`
+    // is the iteration snapshot and stays immutable until the commit.
+    engine.begin_round();
+    engine.parallel_shards(
+        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+          for (std::uint32_t v = begin; v < end; ++v) {
+            SplitMix64 stream = engine.node_stream(v);
+            first[v] = engine.sample_peer(v, stream);
+          }
+          local.record_messages(end - begin, bits);
+        });
+
+    // Round 2: the delta coin and, if it lands, the second sample — then
+    // the tournament commit, blocked: draws, prefetches over both samples'
+    // rank lines, compute against warm lines.  Per-node draw order (coin,
+    // then peer, from one stream) is exactly the sequential path's.
+    engine.begin_round();
+    engine.parallel_shards(
+        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+          std::uint64_t sent = 0;
+          for (std::uint32_t b0 = begin; b0 < end; b0 += block) {
+            const std::uint32_t b1 = std::min(b0 + block, end);
+            for (std::uint32_t v = b0; v < b1; ++v) {
+              SplitMix64 stream = engine.node_stream(v);
+              const bool tournament =
+                  delta >= 1.0 || rand_bernoulli(stream, delta);
+              if (tournament) {
+                second[v] = engine.sample_peer(v, stream);
+                ++sent;
+              } else {
+                second[v] = Engine::kNoPeer;
+              }
+            }
+            for (std::uint32_t v = b0; v < b1; ++v) {
+              prefetch_read(&cur[first[v]]);
+              if (second[v] != Engine::kNoPeer) {
+                prefetch_read(&cur[second[v]]);
+              }
+            }
+            for (std::uint32_t v = b0; v < b1; ++v) {
+              const std::uint32_t a = cur[first[v]];
+              if (second[v] == Engine::kNoPeer) {
+                next[v] = a;
+              } else {
+                const std::uint32_t b = cur[second[v]];
+                next[v] = suppress_high ? std::min(a, b) : std::max(a, b);
+              }
+            }
+          }
+          local.record_messages(sent, bits);
+        });
+    std::swap(cur, next);
+    ++out.iterations;
   }
-
-  auto& keys = engine.scratch<KeyPairScratch>();
-  keys.ensure(n);
-  copy_keys(engine, state, {keys.a.data(), n});
-  const Key* live = nullptr;
-  out.iterations = two_tournament_rounds<Key>(
-      engine, {keys.a.data(), n}, {keys.b.data(), n}, first, second,
-      out.schedule, truncate_last, suppress_high, bits, &live);
-  copy_keys(engine, {live, n}, state);
+  lane_settle(lanes, cur);
+  lane_export(engine, lanes, state);
   return out;
 }
 
@@ -559,35 +402,107 @@ ThreeTournamentOutcome three_tournament(Engine& engine,
   ThreeTournamentOutcome out;
   out.schedule = three_tournament_schedule(eps, n);
   const std::uint64_t bits = key_bits(n);
+  const std::uint32_t block = engine.gather_block();
 
   auto& picks = engine.scratch<PickScratch>();
   picks.ensure(n);
   const std::array<std::span<std::uint32_t>, 3> pk = {
       picks.p0.span(n), picks.p1.span(n), picks.p2.span(n)};
+  auto& lanes = engine.scratch<LaneScratch>();
+  lane_import(engine, state, lanes);
+  std::span<std::uint32_t> cur(lanes.lane_a.data(), n);
+  std::span<std::uint32_t> next(lanes.lane_b.data(), n);
 
-  if (n >= engine.intern_min_nodes()) {
-    auto& lanes = engine.scratch<LaneScratch>();
-    lane_import(engine, state, lanes);
-    const std::uint32_t* live = nullptr;
-    out.iterations = three_tournament_rounds<std::uint32_t>(
-        engine, picks, {lanes.lane_a.data(), n}, {lanes.lane_b.data(), n},
-        pk, out.schedule, k_samples, bits, out.outputs,
-        [&](std::uint32_t rank) { return lanes.interner.key_at(rank); },
-        &live);
-    lane_settle(lanes, std::span<const std::uint32_t>(live, n));
-    lane_export(engine, lanes, state);
-    return out;
+  for (std::size_t iter = 0; iter < out.schedule.iterations(); ++iter) {
+    GQ_SPAN("tournament/three_iteration");
+    // Three pulls = three rounds, all reading the iteration-start state
+    // (`cur` is immutable until the commit, which writes `next`).  The
+    // first two are pure pick passes; the third is blocked — its draws,
+    // prefetches over all three samples' rank lines, and the fused median
+    // commit run per block against warm lines.
+    for (int pull = 0; pull < 3; ++pull) {
+      engine.begin_round();
+      engine.parallel_shards(
+          [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+            const auto& out_picks = pk[static_cast<std::size_t>(pull)];
+            if (pull < 2) {
+              for (std::uint32_t v = begin; v < end; ++v) {
+                SplitMix64 stream = engine.node_stream(v);
+                out_picks[v] = engine.sample_peer(v, stream);
+              }
+            } else {
+              for (std::uint32_t b0 = begin; b0 < end; b0 += block) {
+                const std::uint32_t b1 = std::min(b0 + block, end);
+                for (std::uint32_t v = b0; v < b1; ++v) {
+                  SplitMix64 stream = engine.node_stream(v);
+                  out_picks[v] = engine.sample_peer(v, stream);
+                }
+                for (std::uint32_t v = b0; v < b1; ++v) {
+                  prefetch_read(&cur[pk[0][v]]);
+                  prefetch_read(&cur[pk[1][v]]);
+                  prefetch_read(&cur[pk[2][v]]);
+                }
+                for (std::uint32_t v = b0; v < b1; ++v) {
+                  next[v] =
+                      median3(cur[pk[0][v]], cur[pk[1][v]], cur[pk[2][v]]);
+                }
+              }
+            }
+            local.record_messages(end - begin, bits);
+          });
+    }
+    std::swap(cur, next);
+    ++out.iterations;
   }
 
-  auto& keys = engine.scratch<KeyPairScratch>();
-  keys.ensure(n);
-  copy_keys(engine, state, {keys.a.data(), n});
-  const Key* live = nullptr;
-  out.iterations = three_tournament_rounds<Key>(
-      engine, picks, {keys.a.data(), n}, {keys.b.data(), n}, pk,
-      out.schedule, k_samples, bits, out.outputs,
-      [](const Key& k) { return k; }, &live);
-  copy_keys(engine, {live, n}, state);
+  // Final step: every node samples K values and outputs their median.  The
+  // tournament state is immutable during these rounds, so the K sampling
+  // rounds fuse into one parallel section: the round counter advances K
+  // times up front, and each node derives the per-round streams directly —
+  // the same (seed, round, v) derivation the per-round kernel would use,
+  // so draws and Metrics are bit-identical while the K-pass sample matrix
+  // disappears entirely.  Each node's K picks are drawn (and prefetched)
+  // before its K gathers, so the draw ALU covers the miss latency.
+  const std::uint64_t first_sample_round = engine.round() + 1;
+  for (std::uint32_t j = 0; j < k_samples; ++j) engine.begin_round();
+  out.outputs.resize(n);
+  constexpr std::uint32_t kMaxStackSamples = 64;
+  const std::size_t shards = engine.num_shards();
+  const auto wide_k = static_cast<std::size_t>(k_samples);
+  if (k_samples > kMaxStackSamples) {
+    // Oversized K: per-shard pick and sample slices come from the pooled
+    // wide lane, so even this path allocates nothing in steady state.
+    picks.ensure_wide(2 * shards * wide_k);
+  }
+  engine.parallel_shards(
+      [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+        std::uint32_t stack_picks[kMaxStackSamples];
+        std::uint32_t stack_samples[kMaxStackSamples];
+        std::uint32_t* pick = stack_picks;
+        std::uint32_t* samp = stack_samples;
+        if (k_samples > kMaxStackSamples) {
+          const std::size_t shard = engine.shard_of(begin);
+          pick = picks.wide.data() + shard * wide_k;
+          samp = picks.wide.data() + (shards + shard) * wide_k;
+        }
+        for (std::uint32_t v = begin; v < end; ++v) {
+          for (std::uint32_t j = 0; j < k_samples; ++j) {
+            SplitMix64 stream = streams::node_stream(
+                engine.seed(), first_sample_round + j, v);
+            pick[j] = engine.sample_peer(v, stream);
+            prefetch_read(&cur[pick[j]]);
+          }
+          for (std::uint32_t j = 0; j < k_samples; ++j) {
+            samp[j] = cur[pick[j]];
+          }
+          out.outputs[v] =
+              lanes.interner.key_at(rank_median(samp, k_samples));
+        }
+        local.record_messages(
+            static_cast<std::uint64_t>(k_samples) * (end - begin), bits);
+      });
+  lane_settle(lanes, cur);
+  lane_export(engine, lanes, state);
   return out;
 }
 
@@ -866,9 +781,8 @@ void multi_final_sample(Engine& engine, std::uint32_t k_samples,
             for (std::uint32_t j = 0; j < k_samples; ++j) {
               samp[j] = cur[static_cast<std::size_t>(pick[j]) * q + l];
             }
-            std::uint32_t* const mid = samp + k_samples / 2;
-            std::nth_element(samp, mid, samp + k_samples);
-            outputs[l][v] = lanes.interner.key_at(*mid);
+            outputs[l][v] =
+                lanes.interner.key_at(rank_median(samp, k_samples));
           }
         }
         local.record_messages(
@@ -1108,9 +1022,7 @@ class EngineRobustOps {
             valid8[v] = 0;
             return;
           }
-          std::uint32_t* const mid = samp + k / 2;
-          std::nth_element(samp, mid, samp + k);
-          outputs[v] = lanes_.interner.key_at(*mid);
+          outputs[v] = lanes_.interner.key_at(rank_median(samp, k));
           valid8[v] = 1;
         });
     valid.resize(n_);

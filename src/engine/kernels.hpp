@@ -114,12 +114,10 @@ std::uint64_t robust_coverage(Engine& engine, std::vector<Key>& outputs,
 // x 4 bytes: q = 16 lanes fit one cache line), ping-ponged like the single
 // lanes above; one peer draw per node per round serves every lane, and the
 // blocked gather prefetches whole peer *rows*.  The key multiset is
-// interned ONCE in multi_tournament_begin — always interned, regardless of
-// EngineConfig::intern_min_nodes: a Key-typed lane matrix would duplicate
-// every kernel for a representation that is unobservable (same draws, same
-// commits, same Metrics), and the one O(n log n) sort is amortised over q
-// lanes of gather rounds.  The intern session's lane A is left untouched,
-// so a service session's adopted encoding stays valid across multi runs.
+// interned ONCE in multi_tournament_begin, and the one radix sort is
+// amortised over q lanes of gather rounds.  The intern session's lane A is
+// left untouched, so a service session's adopted encoding stays valid
+// across multi runs.
 //
 // Failure-free only: the shared control flow routes robust runs through
 // per-target robust pipelines (see core/multi_pipeline.hpp).  Driven by
@@ -139,13 +137,12 @@ void multi_final_sample(Engine& engine, std::uint32_t k_samples,
 // state the caller is about to run a pipeline on — `table` sorted distinct
 // (a superset of the state's distinct keys is fine), `lanes[v]` the table
 // rank of node v's key.  The next kernel's existing exact verify pass
-// (state[v] == table[lanes[v]]) then hits and the O(n log n) intern sort is
+// (state[v] == table[lanes[v]]) then hits and the intern's radix sort is
 // skipped; a caller handing over a stale or wrong encoding just fails the
-// verify and pays a fresh intern, never a wrong answer.  Only the interned
-// representation consults the session (n >= EngineConfig::intern_min_nodes;
-// below it the kernels run on pooled Key buffers), and a kernel that
-// mutates the key multiset mid-pipeline (the exact pipeline's duplication
-// step) re-interns exactly as it would cold.
+// verify and pays a fresh intern, never a wrong answer.  Every tournament
+// kernel consults the session (median dynamics only on runs long enough to
+// intern), and a kernel that mutates the key multiset mid-pipeline (the
+// exact pipeline's duplication step) re-interns exactly as it would cold.
 void adopt_intern_session(Engine& engine, std::span<const Key> table,
                           std::span<const std::uint32_t> lanes);
 

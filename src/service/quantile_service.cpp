@@ -71,6 +71,7 @@ QuantileService::Stream& QuantileService::live_stream(std::uint32_t node) {
 }
 
 void QuantileService::ingest(std::uint32_t node, double value) {
+  GQ_REQUIRE(!std::isnan(value), "ingested values must not be NaN");
   live_stream(node).ingest(value);
   ++ingested_;
   dirty_ = true;
@@ -78,6 +79,11 @@ void QuantileService::ingest(std::uint32_t node, double value) {
 
 void QuantileService::ingest(std::uint32_t node,
                              std::span<const double> values) {
+  // Checked before anything is ingested, so a rejected batch leaves the
+  // node's stream untouched.
+  GQ_REQUIRE(std::none_of(values.begin(), values.end(),
+                          [](double x) { return std::isnan(x); }),
+             "ingested values must not be NaN");
   live_stream(node).ingest(values);
   ingested_ += values.size();
   dirty_ = true;

@@ -67,9 +67,10 @@
 // With degrade_on_exhaustion = false, kExactQuantile propagates the last
 // attempt's ExactPipelineError (recoverable — the service and its engine
 // stay usable; see core/result.hpp) once the supervisor budget is spent.
-// Structural misuse (unknown node ids, ingest into departed nodes, queries
-// with fewer than two contributing nodes) throws std::invalid_argument via
-// GQ_REQUIRE regardless — misuse is a bug, not a fault to absorb.
+// Structural misuse (unknown node ids, ingest into departed nodes, NaN
+// values, queries with fewer than two contributing nodes) throws
+// std::invalid_argument via GQ_REQUIRE regardless — misuse is a bug, not a
+// fault to absorb.
 #pragma once
 
 #include <array>

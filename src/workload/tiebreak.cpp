@@ -1,5 +1,6 @@
 #include "workload/tiebreak.hpp"
 
+#include <cmath>
 #include <cstdint>
 
 #include "util/require.hpp"
@@ -11,6 +12,7 @@ std::vector<Key> make_keys(std::span<const double> values) {
   std::vector<Key> keys;
   keys.reserve(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
+    GQ_REQUIRE(!std::isnan(values[i]), "values must not be NaN");
     keys.push_back(Key{values[i], static_cast<std::uint32_t>(i), 0});
   }
   return keys;

@@ -10,7 +10,9 @@
 namespace gq {
 
 // Wraps each value into a Key tie-broken by node id.  The i-th key belongs
-// to node i.  Resulting keys are pairwise distinct whenever ids are.
+// to node i.  Resulting keys are pairwise distinct whenever ids are.  NaN
+// values are rejected: NaN compares unordered, so it has no place in Key's
+// total order.
 [[nodiscard]] std::vector<Key> make_keys(std::span<const double> values);
 
 // Projects keys back to application values.

@@ -529,28 +529,20 @@ TEST(EnginePipelines, ApproxQuantileMatchesCore) {
     const ApproxQuantileResult seq = approx_quantile(net, values, params);
 
     for (unsigned threads : kThreadCounts) {
-      // Both state representations (interned lanes with cross-kernel
-      // session reuse at intern_min 1, pooled Key buffers at the default
-      // threshold) must be unobservable at the pipeline level too.
-      for (const std::uint32_t intern_min : {1u, 0u}) {
-        Engine engine(kN, kSeed, FailureModel{},
-                      EngineConfig{.threads = threads,
-                                   .shard_size = 192,
-                                   .intern_min_nodes = intern_min});
-        const ApproxQuantileResult par =
-            approx_quantile(engine, values, params);
-        EXPECT_EQ(par.outputs, seq.outputs)
-            << "threads=" << threads << " phi=" << phi
-            << " intern_min=" << intern_min;
-        EXPECT_EQ(par.valid, seq.valid);
-        EXPECT_EQ(par.phase1_iterations, seq.phase1_iterations);
-        EXPECT_EQ(par.phase2_iterations, seq.phase2_iterations);
-        EXPECT_EQ(par.rounds, seq.rounds);
-        EXPECT_EQ(par.used_exact_fallback, seq.used_exact_fallback);
-        EXPECT_EQ(engine.metrics(), net.metrics())
-            << "threads=" << threads << " phi=" << phi
-            << " intern_min=" << intern_min;
-      }
+      // The interned lanes' cross-kernel session reuse must be
+      // unobservable at the pipeline level too.
+      Engine engine(kN, kSeed, FailureModel{},
+                    EngineConfig{.threads = threads, .shard_size = 192});
+      const ApproxQuantileResult par = approx_quantile(engine, values, params);
+      EXPECT_EQ(par.outputs, seq.outputs)
+          << "threads=" << threads << " phi=" << phi;
+      EXPECT_EQ(par.valid, seq.valid);
+      EXPECT_EQ(par.phase1_iterations, seq.phase1_iterations);
+      EXPECT_EQ(par.phase2_iterations, seq.phase2_iterations);
+      EXPECT_EQ(par.rounds, seq.rounds);
+      EXPECT_EQ(par.used_exact_fallback, seq.used_exact_fallback);
+      EXPECT_EQ(engine.metrics(), net.metrics())
+          << "threads=" << threads << " phi=" << phi;
     }
   }
 }
@@ -754,41 +746,29 @@ TEST(EngineKernels, GatherBlockSweepMatchesCoreForEveryKernel) {
 
   for (unsigned threads : kThreadCounts) {
     for (const std::uint32_t block : {1u, 7u, 64u, 1u << 20}) {
-      // intern_min_nodes 1 forces the interned-rank lanes, the default
-      // (kN < 2^16) the pooled Key buffers: both representations must
-      // reproduce the sequential transcript at every block size.
-      for (const std::uint32_t intern_min : {1u, 0u}) {
-        EngineConfig cfg{.threads = threads,
-                         .shard_size = 192,
-                         .gather_block = block,
-                         .intern_min_nodes = intern_min};
-        {
-          Engine engine(kN, kSeed, FailureModel{}, cfg);
-          std::vector<Key> state(keys.begin(), keys.end());
-          const auto par = two_tournament(engine, state, 0.3, 0.1);
-          EXPECT_EQ(par.iterations, seq_two.iterations);
-          EXPECT_EQ(state, seq_two_state)
-              << "threads=" << threads << " block=" << block
-              << " intern_min=" << intern_min;
-          EXPECT_EQ(engine.metrics(), net_two.metrics())
-              << "threads=" << threads << " block=" << block
-              << " intern_min=" << intern_min;
-        }
-        {
-          Engine engine(kN, kSeed, FailureModel{}, cfg);
-          std::vector<Key> state(keys.begin(), keys.end());
-          const auto par = three_tournament(engine, state, 0.1);
-          EXPECT_EQ(par.iterations, seq_three.iterations);
-          EXPECT_EQ(par.outputs, seq_three.outputs)
-              << "threads=" << threads << " block=" << block
-              << " intern_min=" << intern_min;
-          EXPECT_EQ(state, seq_three_state)
-              << "threads=" << threads << " block=" << block
-              << " intern_min=" << intern_min;
-          EXPECT_EQ(engine.metrics(), net_three.metrics())
-              << "threads=" << threads << " block=" << block
-              << " intern_min=" << intern_min;
-        }
+      EngineConfig cfg{
+          .threads = threads, .shard_size = 192, .gather_block = block};
+      {
+        Engine engine(kN, kSeed, FailureModel{}, cfg);
+        std::vector<Key> state(keys.begin(), keys.end());
+        const auto par = two_tournament(engine, state, 0.3, 0.1);
+        EXPECT_EQ(par.iterations, seq_two.iterations);
+        EXPECT_EQ(state, seq_two_state)
+            << "threads=" << threads << " block=" << block;
+        EXPECT_EQ(engine.metrics(), net_two.metrics())
+            << "threads=" << threads << " block=" << block;
+      }
+      {
+        Engine engine(kN, kSeed, FailureModel{}, cfg);
+        std::vector<Key> state(keys.begin(), keys.end());
+        const auto par = three_tournament(engine, state, 0.1);
+        EXPECT_EQ(par.iterations, seq_three.iterations);
+        EXPECT_EQ(par.outputs, seq_three.outputs)
+            << "threads=" << threads << " block=" << block;
+        EXPECT_EQ(state, seq_three_state)
+            << "threads=" << threads << " block=" << block;
+        EXPECT_EQ(engine.metrics(), net_three.metrics())
+            << "threads=" << threads << " block=" << block;
       }
     }
   }
@@ -816,13 +796,10 @@ TEST(EngineKernels, MedianDynamicsBlockSweepUnderFailures) {
 
     for (unsigned threads : kThreadCounts) {
       for (const std::uint32_t block : {3u, 256u}) {
-        // intern_min_nodes = 1 lets the iteration count alone choose the
-        // representation here: 3 iterations run Key buffers, 8 the lanes.
         Engine engine(kN, kSeed, fm,
                       EngineConfig{.threads = threads,
                                    .shard_size = 192,
-                                   .gather_block = block,
-                                   .intern_min_nodes = 1});
+                                   .gather_block = block});
         std::vector<Key> state(keys.begin(), keys.end());
         const RuntimeResult ker =
             median_dynamics(engine, state, iterations, 1000, bits);
@@ -839,8 +816,8 @@ TEST(EngineKernels, MedianDynamicsBlockSweepUnderFailures) {
 }
 
 // Oversized final sampling (K above the kernels' stack-buffer bound, 64)
-// routes the per-shard pick/sample slices through the pooled wide lanes —
-// for both state representations — and must stay bit-identical.
+// routes the per-shard pick/sample slices through the pooled wide lane and
+// the K-median through nth_element, and must stay bit-identical.
 TEST(EngineKernels, ThreeTournamentOversizedFinalSampleMatchesCore) {
   constexpr std::uint32_t kN = 1024;
   constexpr std::uint64_t kSeed = 151;
@@ -853,20 +830,13 @@ TEST(EngineKernels, ThreeTournamentOversizedFinalSampleMatchesCore) {
   const auto seq = three_tournament(net, seq_state, 0.1, kBigK);
 
   for (unsigned threads : {1u, 8u}) {
-    for (const std::uint32_t intern_min : {1u, 0u}) {
-      Engine engine(kN, kSeed, FailureModel{},
-                    EngineConfig{.threads = threads,
-                                 .shard_size = 192,
-                                 .intern_min_nodes = intern_min});
-      std::vector<Key> state(keys.begin(), keys.end());
-      const auto par = three_tournament(engine, state, 0.1, kBigK);
-      EXPECT_EQ(par.outputs, seq.outputs)
-          << "threads=" << threads << " intern_min=" << intern_min;
-      EXPECT_EQ(state, seq_state)
-          << "threads=" << threads << " intern_min=" << intern_min;
-      EXPECT_EQ(engine.metrics(), net.metrics())
-          << "threads=" << threads << " intern_min=" << intern_min;
-    }
+    Engine engine(kN, kSeed, FailureModel{},
+                  EngineConfig{.threads = threads, .shard_size = 192});
+    std::vector<Key> state(keys.begin(), keys.end());
+    const auto par = three_tournament(engine, state, 0.1, kBigK);
+    EXPECT_EQ(par.outputs, seq.outputs) << "threads=" << threads;
+    EXPECT_EQ(state, seq_state) << "threads=" << threads;
+    EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
   }
 }
 
@@ -888,12 +858,8 @@ TEST(EngineKernels, InternedSessionDetectsStateMutationBetweenCalls) {
   const auto seq_out = three_tournament(net, seq_state, 0.1);
 
   for (unsigned threads : kThreadCounts) {
-    // intern_min_nodes = 1 forces the interned lanes (the session under
-    // test) at this small n.
     Engine engine(kN, kSeed, FailureModel{},
-                  EngineConfig{.threads = threads,
-                               .shard_size = 192,
-                               .intern_min_nodes = 1});
+                  EngineConfig{.threads = threads, .shard_size = 192});
     std::vector<Key> state(keys.begin(), keys.end());
     (void)two_tournament(engine, state, 0.4, 0.1);
     state[17] = foreign;  // invalidate the session behind the engine's back

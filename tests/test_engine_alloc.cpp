@@ -127,7 +127,7 @@ TEST(EngineSteadyState, RoundsAllocateNothingAfterWarmup) {
 }
 
 // Steady-state tournament kernels: after a warmup call has grown the
-// pooled rank lanes, the interner's sort/table buffers, and the pick lanes
+// pooled rank lanes, the interner's radix/table buffers, and the pick lanes
 // in Engine::scratch, a repeat two_tournament run's ONLY allocations are
 // the analytic schedule vectors the control flow computes per call — the
 // blocked-gather rounds (index lanes, prefetch passes, commits), the
@@ -153,47 +153,38 @@ TEST(EngineSteadyState, TournamentRoundsAllocateNothingAfterWarmup) {
   }();
 
   for (unsigned threads : {1u, 2u, 8u}) {
-    // intern_min_nodes 1 pins the interned-lane representation (index
-    // lanes, sort buffer, table, session verify pass); the default (kN
-    // below the threshold) pins the pooled Key-buffer representation.
-    for (const std::uint32_t intern_min : {1u, 0u}) {
-      Engine engine(kN, 23, FailureModel{},
-                    EngineConfig{.threads = threads,
-                                 .shard_size = 256,
-                                 .intern_min_nodes = intern_min});
+    Engine engine(kN, 23, FailureModel{},
+                  EngineConfig{.threads = threads, .shard_size = 256});
 
-      std::vector<Key> state(keys.begin(), keys.end());
-      (void)two_tournament(engine, state, kPhi, kEps);  // warmup
+    std::vector<Key> state(keys.begin(), keys.end());
+    (void)two_tournament(engine, state, kPhi, kEps);  // warmup
 
-      std::vector<Key> state2(keys.begin(), keys.end());
-      const std::uint64_t allocs_before =
-          g_allocations.load(std::memory_order_relaxed);
-      (void)two_tournament(engine, state2, kPhi, kEps);
-      const std::uint64_t session_hit_allocs =
-          g_allocations.load(std::memory_order_relaxed) - allocs_before;
+    std::vector<Key> state2(keys.begin(), keys.end());
+    const std::uint64_t allocs_before =
+        g_allocations.load(std::memory_order_relaxed);
+    (void)two_tournament(engine, state2, kPhi, kEps);
+    const std::uint64_t session_hit_allocs =
+        g_allocations.load(std::memory_order_relaxed) - allocs_before;
 
-      // Session miss: one mutated key forces a full re-intern (sort +
-      // table rebuild), which must still run entirely on warm pooled
-      // buffers.  (On the Key-buffer path this is just another run.)
-      std::vector<Key> state3(keys.begin(), keys.end());
-      state3[kN / 2] = keys[0];  // duplicate: shrinks the distinct table
-      const std::uint64_t miss_before =
-          g_allocations.load(std::memory_order_relaxed);
-      (void)two_tournament(engine, state3, kPhi, kEps);
-      const std::uint64_t session_miss_allocs =
-          g_allocations.load(std::memory_order_relaxed) - miss_before;
+    // Session miss: one mutated key forces a full re-intern (radix sort +
+    // table rebuild), which must still run entirely on warm pooled
+    // buffers.
+    std::vector<Key> state3(keys.begin(), keys.end());
+    state3[kN / 2] = keys[0];  // duplicate: shrinks the distinct table
+    const std::uint64_t miss_before =
+        g_allocations.load(std::memory_order_relaxed);
+    (void)two_tournament(engine, state3, kPhi, kEps);
+    const std::uint64_t session_miss_allocs =
+        g_allocations.load(std::memory_order_relaxed) - miss_before;
 
 #if GQ_ALLOC_COUNTS_RELIABLE
-      EXPECT_EQ(session_hit_allocs, schedule_allocs)
-          << "threads=" << threads << " intern_min=" << intern_min;
-      EXPECT_EQ(session_miss_allocs, schedule_allocs)
-          << "threads=" << threads << " intern_min=" << intern_min;
+    EXPECT_EQ(session_hit_allocs, schedule_allocs) << "threads=" << threads;
+    EXPECT_EQ(session_miss_allocs, schedule_allocs) << "threads=" << threads;
 #else
-      (void)session_hit_allocs;
-      (void)session_miss_allocs;
-      (void)schedule_allocs;
+    (void)session_hit_allocs;
+    (void)session_miss_allocs;
+    (void)schedule_allocs;
 #endif
-    }
   }
 }
 

@@ -2,8 +2,7 @@
 // engine's q-lane kernels (engine/kernels.cpp) must produce bit-identical
 // outputs, round counts, and Metrics to the sequential Network
 // instantiation (core/multi_quantile.cpp) of the shared control flow in
-// core/multi_pipeline.hpp — at 1, 2, and 8 threads, any gather block, and
-// both intern thresholds.
+// core/multi_pipeline.hpp — at 1, 2, and 8 threads and any gather block.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -55,16 +54,11 @@ TEST(EngineMulti, SharedScheduleMatchesNetwork) {
   ASSERT_TRUE(seq.shared_schedule);
 
   for (unsigned threads : kThreadCounts) {
-    for (const std::uint32_t intern_min : {1u, 0u}) {
-      Engine engine(kN, kSeed, FailureModel{},
-                    EngineConfig{.threads = threads,
-                                 .shard_size = 192,
-                                 .intern_min_nodes = intern_min});
-      const MultiQuantileResult par = multi_quantile(engine, values, params);
-      expect_same(par, seq, "shared");
-      EXPECT_EQ(engine.metrics(), net.metrics())
-          << "threads=" << threads << " intern_min=" << intern_min;
-    }
+    Engine engine(kN, kSeed, FailureModel{},
+                  EngineConfig{.threads = threads, .shard_size = 192});
+    const MultiQuantileResult par = multi_quantile(engine, values, params);
+    expect_same(par, seq, "shared");
+    EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
   }
 }
 
@@ -87,8 +81,7 @@ TEST(EngineMulti, DuplicateTargetsMatchNetwork) {
 
   for (unsigned threads : kThreadCounts) {
     Engine engine(kN, kSeed, FailureModel{},
-                  EngineConfig{.threads = threads, .shard_size = 192,
-                               .intern_min_nodes = 1});
+                  EngineConfig{.threads = threads, .shard_size = 192});
     const MultiQuantileResult par = multi_quantile(engine, values, params);
     expect_same(par, seq, "duplicates");
     EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
@@ -111,8 +104,7 @@ TEST(EngineMulti, GatherBlockIsUnobservable) {
     Engine engine(kN, kSeed, FailureModel{},
                   EngineConfig{.threads = 2,
                                .shard_size = 192,
-                               .gather_block = block,
-                               .intern_min_nodes = 1});
+                               .gather_block = block});
     const MultiQuantileResult par = multi_quantile(engine, values, params);
     expect_same(par, seq, "block");
     EXPECT_EQ(engine.metrics(), net.metrics()) << "block=" << block;
@@ -138,8 +130,7 @@ TEST(EngineMulti, RobustFallbackMatchesNetwork) {
 
   for (unsigned threads : kThreadCounts) {
     Engine engine(kN, kSeed, failures,
-                  EngineConfig{.threads = threads, .shard_size = 192,
-                               .intern_min_nodes = 1});
+                  EngineConfig{.threads = threads, .shard_size = 192});
     const MultiQuantileResult par = multi_quantile(engine, values, params);
     expect_same(par, seq, "robust");
     EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
@@ -154,16 +145,14 @@ TEST(EngineMulti, SingleTargetSharedMatchesSingleTargetPipeline) {
   const auto values = generate_values(Distribution::kUniformReal, kN, 43);
 
   Engine ref(kN, kSeed, FailureModel{},
-             EngineConfig{.threads = 2, .shard_size = 192,
-                          .intern_min_nodes = 1});
+             EngineConfig{.threads = 2, .shard_size = 192});
   ApproxQuantileParams ap;
   ap.phi = 0.9;
   ap.eps = 0.15;
   const ApproxQuantileResult one = approx_quantile(ref, values, ap);
 
   Engine engine(kN, kSeed, FailureModel{},
-                EngineConfig{.threads = 2, .shard_size = 192,
-                             .intern_min_nodes = 1});
+                EngineConfig{.threads = 2, .shard_size = 192});
   MultiQuantileParams params;
   params.phis = {0.9};
   params.eps = 0.15;

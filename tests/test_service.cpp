@@ -379,6 +379,29 @@ TEST(Service, PerNodeStateStaysBounded) {
   EXPECT_LE(s.max_node_items, 64u * 5);
 }
 
+// A NaN has no place in Key's order: ingest rejects it up front (a batch
+// containing one is rejected whole), so it can never reach a seal and break
+// the session's sorted table at query time.
+TEST(Service, IngestRejectsNaNAndStaysQueryable) {
+  constexpr std::uint32_t kNodes = 64;
+  QuantileService service(kNodes, service_config(1));
+  ingest_fixture(service, kNodes, 4, 17);
+  const std::uint64_t ingested = service.stats().ingested;
+
+  EXPECT_THROW(service.ingest(3, std::nan("")), std::invalid_argument);
+  const std::vector<double> batch = {0.25, std::nan(""), 0.75};
+  EXPECT_THROW(service.ingest(5, batch), std::invalid_argument);
+  EXPECT_EQ(service.stats().ingested, ingested);
+
+  QueryRequest request;
+  request.kind = QueryKind::kQuantile;
+  request.phi = 0.5;
+  request.eps = 0.2;
+  const QueryReply reply = service.query(request);
+  EXPECT_FALSE(std::isnan(reply.value));
+  expect_same_answer(reply, cold_quantile_reply(service, reply, request));
+}
+
 TEST(Service, BatchedQueriesShareOneEpochAndMatchSingles) {
   constexpr std::uint32_t kNodes = 450;
   QuantileService service(kNodes, service_config(2));

@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/failure_model.hpp"
 #include "sim/key.hpp"
+#include "sim/key_intern.hpp"
 #include "sim/network.hpp"
 #include "sim/trace.hpp"
 
@@ -269,6 +277,229 @@ TEST(Metrics, SinceComputesDeltas) {
   EXPECT_EQ(d.rounds, 15u);
   EXPECT_EQ(d.messages, 80u);
   EXPECT_EQ(d.message_bits, 1200u);
+}
+
+// ---- KeyInterner: the radix intern == a comparison-sort reference --------
+
+// What intern() promised before it was a radix sort: the sorted distinct
+// keys, and every key's index in them.
+struct InternReference {
+  std::vector<Key> table;
+  std::vector<std::uint32_t> ranks;
+};
+
+InternReference sort_reference(const std::vector<Key>& keys) {
+  InternReference ref;
+  ref.table = keys;
+  std::sort(ref.table.begin(), ref.table.end());
+  ref.table.erase(std::unique(ref.table.begin(), ref.table.end()),
+                  ref.table.end());
+  for (const Key& k : keys) {
+    ref.ranks.push_back(static_cast<std::uint32_t>(
+        std::lower_bound(ref.table.begin(), ref.table.end(), k) -
+        ref.table.begin()));
+  }
+  return ref;
+}
+
+// Bitwise, not Key's ==: -0.0 == +0.0 in Key's order, but the table must
+// hold the very keys the reference holds.
+bool same_bits(const Key& a, const Key& b) {
+  return std::bit_cast<std::uint64_t>(a.value) ==
+             std::bit_cast<std::uint64_t>(b.value) &&
+         a.id == b.id && a.tag == b.tag;
+}
+
+void expect_matches_reference(const KeyInterner& interner,
+                              const std::vector<Key>& keys,
+                              std::span<const std::uint32_t> ranks) {
+  const InternReference ref = sort_reference(keys);
+  ASSERT_EQ(interner.table().size(), ref.table.size());
+  for (std::size_t i = 0; i < ref.table.size(); ++i) {
+    EXPECT_TRUE(same_bits(interner.table()[i], ref.table[i]))
+        << "table slot " << i;
+  }
+  for (std::size_t v = 0; v < keys.size(); ++v) {
+    EXPECT_EQ(ranks[v], ref.ranks[v]) << "node " << v;
+  }
+}
+
+// The inputs the order image and the equal-value fix-up must get right.
+std::vector<std::pair<std::string, std::vector<Key>>> intern_cases() {
+  std::mt19937_64 rng(7);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<std::pair<std::string, std::vector<Key>>> cases;
+
+  std::vector<Key> uniform;
+  std::uniform_real_distribution<double> spread(-1e6, 1e6);
+  for (std::uint32_t i = 0; i < 4096; ++i) {
+    uniform.push_back(Key{spread(rng), i, 0});
+  }
+  cases.emplace_back("distinct uniform", uniform);
+
+  // Every byte of the image decides some pair: fully random bit patterns
+  // order on the high bytes, and half the keys share one of a few high
+  // words (both signs), so only their low bytes order them.
+  std::vector<Key> patterns;
+  const std::uint64_t high_words[] = {0x3FF0'0000'0000'0000,
+                                      0xC010'0000'0000'0000,
+                                      0x0000'0000'0000'0000};
+  for (std::uint32_t i = 0; patterns.size() < 4096; ++i) {
+    std::uint64_t bits = rng();
+    if (i % 2 == 1) bits = high_words[i % 3] | (bits & 0xFFFF'FFFF);
+    const double x = std::bit_cast<double>(bits);
+    if (!std::isnan(x)) patterns.push_back(Key{x, i, 0});
+  }
+  cases.emplace_back("random bit patterns", patterns);
+
+  // Equal values, so only the ids order the zeros; the tiny neighbours
+  // check that the fold puts both zeros between -tiny and +tiny.
+  std::vector<Key> zeros;
+  for (std::uint32_t i = 0; i < 600; ++i) {
+    const double values[] = {-0.0, 0.0, tiny, -tiny};
+    zeros.push_back(Key{values[i % 4], i, 0});
+  }
+  std::shuffle(zeros.begin(), zeros.end(), rng);
+  cases.emplace_back("signed zeros", zeros);
+
+  std::vector<Key> infinities;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    infinities.push_back(Key{inf, i, 0});
+    infinities.push_back(Key{-inf, i, 0});
+    infinities.push_back(Key{static_cast<double>(i) - 150.0, i, 0});
+    if (i % 7 == 0) infinities.push_back(Key::infinite());
+    if (i % 11 == 0) infinities.push_back(Key::neg_infinite());
+  }
+  std::shuffle(infinities.begin(), infinities.end(), rng);
+  cases.emplace_back("infinities and sentinels", infinities);
+
+  // The exact pipeline's duplicated instances: one (value, id) token split
+  // into many tags, some tags held twice.
+  std::vector<Key> tokens;
+  for (std::uint32_t t = 0; t < 64; ++t) {
+    const double value = static_cast<double>(t % 8) * 0.5;
+    for (std::uint64_t tag = 0; tag < 16; ++tag) {
+      tokens.push_back(Key{value, t, tag});
+      if (tag % 5 == 0) tokens.push_back(Key{value, t, tag});
+    }
+  }
+  std::shuffle(tokens.begin(), tokens.end(), rng);
+  cases.emplace_back("duplicated tokens", tokens);
+
+  std::vector<Key> extremes;
+  const double special[] = {tiny,
+                            -tiny,
+                            3 * tiny,
+                            -3 * tiny,
+                            std::numeric_limits<double>::min(),
+                            -std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::lowest(),
+                            -1.5,
+                            -1e-310};
+  std::uniform_int_distribution<std::uint64_t> subnormal(1, 1u << 20);
+  for (std::uint32_t i = 0; i < 2000; ++i) {
+    const double x =
+        i < std::size(special)
+            ? special[i]
+            : static_cast<double>(subnormal(rng)) * tiny * (i % 2 ? -1 : 1);
+    extremes.push_back(Key{x, i, 0});
+  }
+  std::shuffle(extremes.begin(), extremes.end(), rng);
+  cases.emplace_back("negative and subnormal", extremes);
+
+  // Every radix pass is skipped; the ids alone order the keys.
+  std::vector<Key> equal;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    equal.push_back(Key{42.5, 999 - i, 0});
+  }
+  cases.emplace_back("all equal values", equal);
+
+  cases.emplace_back("one key", std::vector<Key>{Key{3.0, 0, 0}});
+  return cases;
+}
+
+TEST(KeyInterner, RadixInternMatchesSortReference) {
+  KeyInterner interner;  // one interner, so the pooled buffers are reused
+  for (const auto& [name, keys] : intern_cases()) {
+    SCOPED_TRACE(name);
+    std::vector<std::uint32_t> ranks(keys.size());
+    interner.intern(keys, ranks);
+    expect_matches_reference(interner, keys, ranks);
+
+    // extend() merges into the radix-built table exactly as a full intern
+    // of the grown state would build it.
+    const std::vector<Key> added = {Key{0.5, 70000, 3}, keys.front(),
+                                    Key::infinite(), Key{-2.0, 70001, 0}};
+    std::vector<Key> all = keys;
+    all.insert(all.end(), added.begin(), added.end());
+    ranks.resize(all.size());
+    interner.extend(added, all, ranks);
+    expect_matches_reference(interner, all, ranks);
+  }
+}
+
+TEST(KeyInterner, RejectsNaNAndKeepsThePreviousTable) {
+  KeyInterner interner;
+  const std::vector<Key> keys = {Key{2.0, 0, 0}, Key{1.0, 1, 0}};
+  std::vector<std::uint32_t> ranks(keys.size());
+  interner.intern(keys, ranks);
+
+  std::vector<Key> bad = keys;
+  bad[1].value = std::nan("");
+  std::vector<std::uint32_t> bad_ranks = ranks;
+  EXPECT_THROW(interner.intern(bad, bad_ranks), std::invalid_argument);
+  EXPECT_EQ(bad_ranks, ranks);
+  expect_matches_reference(interner, keys, ranks);
+}
+
+// ---- rank_median == nth_element -------------------------------------------
+
+// Every k in [1, 65] — odd, as the kernels force, and even — spans both
+// network widths (16 and 32 wires) and the nth_element fallback above 32.
+TEST(RankMedian, MatchesNthElementForEveryK) {
+  std::mt19937_64 rng(11);
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  std::uniform_int_distribution<int> domain(0, 2);
+  for (std::uint32_t k = 1; k <= 65; ++k) {
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<std::uint32_t> samp(k);
+      if (trial % 2 == 0) {
+        // Distinct: an odd stride is a bijection mod 2^32.
+        const auto base = static_cast<std::uint32_t>(rng());
+        const auto stride = static_cast<std::uint32_t>(rng()) | 1u;
+        for (std::uint32_t i = 0; i < k; ++i) samp[i] = base + i * stride;
+        std::shuffle(samp.begin(), samp.end(), rng);
+      } else {
+        // Duplicate-heavy, on the networks' own pad values 0 and kMax.
+        const std::uint32_t values[] = {0, 1, kMax};
+        for (std::uint32_t& x : samp) x = values[domain(rng)];
+      }
+      std::vector<std::uint32_t> ref = samp;
+      std::nth_element(ref.begin(), ref.begin() + k / 2, ref.end());
+      EXPECT_EQ(rank_median(samp.data(), k), ref[k / 2])
+          << "k=" << k << " trial=" << trial;
+    }
+  }
+}
+
+// By the 0-1 principle, a comparator network that selects the median of
+// every 0/1 input selects it for every input: this proves the 16-wire
+// network (every k <= 16, the default K = 15 included) exhaustively.
+TEST(RankMedian, SixteenWireNetworkIsExactOnEveryZeroOneInput) {
+  for (std::uint32_t k = 1; k <= 16; ++k) {
+    for (std::uint32_t bits = 0; bits < (1u << k); ++bits) {
+      std::uint32_t samp[16];
+      for (std::uint32_t i = 0; i < k; ++i) samp[i] = (bits >> i) & 1u;
+      const std::uint32_t ones = static_cast<std::uint32_t>(
+          std::popcount(bits));
+      // The k / 2-th smallest is 1 iff fewer than k / 2 + 1 zeros.
+      const std::uint32_t expected = k - ones <= k / 2 ? 1u : 0u;
+      ASSERT_EQ(rank_median(samp, k), expected)
+          << "k=" << k << " bits=" << bits;
+    }
+  }
 }
 
 }  // namespace

@@ -129,6 +129,20 @@ TEST(Tiebreak, RejectsEmptyInput) {
   EXPECT_THROW((void)make_keys({}), std::invalid_argument);
 }
 
+// NaN compares unordered, so it has no place in Key's total order: every
+// values entry point of both executors rejects it here instead of running a
+// protocol whose comparisons are meaningless.
+TEST(Tiebreak, RejectsNaNAnywhereInTheInput) {
+  std::vector<double> xs(256);
+  for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);
+  EXPECT_NO_THROW((void)make_keys(xs));
+  for (const std::size_t at : {std::size_t{0}, std::size_t{97}, xs.size() - 1}) {
+    std::vector<double> bad = xs;
+    bad[at] = std::nan("");
+    EXPECT_THROW((void)make_keys(bad), std::invalid_argument) << "at " << at;
+  }
+}
+
 TEST(Tiebreak, IdsMatchNodeIndices) {
   const std::vector<double> xs = {5.0, 5.0, 1.0};
   const auto keys = make_keys(xs);
