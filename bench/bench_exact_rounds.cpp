@@ -3,8 +3,14 @@
 //
 // The table reports rounds for both algorithms across n; the shape to look
 // for is ours/log2(n) flattening while KDG03/log2(n) keeps growing
-// (its phase count is itself Theta(log n)).
+// (its phase count is itself Theta(log n)).  The last six columns split
+// our mean rounds by substrate (ExactQuantileResult::round_breakdown):
+// bracket runs, extreme spreads and broadcasts, triple counts, token
+// split, selection endgame, and verification.
+#include <array>
 #include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/kdg03_quantile.hpp"
@@ -31,10 +37,12 @@ void run() {
 
   bench::Table table({"n", "phi", "ours rounds", "ours/log2n",
                       "kdg03 rounds", "kdg03/log2n", "speedup",
-                      "ours iters", "kdg03 phases"});
+                      "ours iters", "kdg03 phases", "brackets", "spreads",
+                      "counts", "tokens", "endgame", "verify"});
   for (const std::uint32_t n : sizes) {
     for (const double phi : {0.1, 0.5, 0.9}) {
       RunningStats ours_rounds, base_rounds, ours_iters, base_phases;
+      std::array<RunningStats, 6> split;
       for (std::size_t t = 0; t < trials; ++t) {
         const auto values = generate_values(
             Distribution::kUniformReal, n, 900 + t);
@@ -46,6 +54,13 @@ void run() {
         ours_rounds.add(static_cast<double>(ours.rounds));
         ours_iters.add(static_cast<double>(ours.iterations +
                                            ours.endgame_phases));
+        const ExactRoundBreakdown& b = ours.round_breakdown;
+        const std::array<std::uint64_t, 6> parts = {
+            b.brackets,    b.spreads, b.counts,
+            b.token_split, b.endgame, b.verification};
+        for (std::size_t i = 0; i < parts.size(); ++i) {
+          split[i].add(static_cast<double>(parts[i]));
+        }
 
         Network base_net(n, 39 + t);
         Kdg03Params kp;
@@ -55,14 +70,20 @@ void run() {
         base_phases.add(static_cast<double>(base.phases));
       }
       const double log2n = std::log2(static_cast<double>(n));
-      table.add_row({bench::fmt_u(n), bench::fmt(phi, 1),
-                     bench::fmt(ours_rounds.mean(), 0),
-                     bench::fmt(ours_rounds.mean() / log2n, 1),
-                     bench::fmt(base_rounds.mean(), 0),
-                     bench::fmt(base_rounds.mean() / log2n, 1),
-                     bench::fmt(base_rounds.mean() / ours_rounds.mean(), 2),
-                     bench::fmt(ours_iters.mean(), 1),
-                     bench::fmt(base_phases.mean(), 1)});
+      std::vector<std::string> row = {
+          bench::fmt_u(n),
+          bench::fmt(phi, 1),
+          bench::fmt(ours_rounds.mean(), 0),
+          bench::fmt(ours_rounds.mean() / log2n, 1),
+          bench::fmt(base_rounds.mean(), 0),
+          bench::fmt(base_rounds.mean() / log2n, 1),
+          bench::fmt(base_rounds.mean() / ours_rounds.mean(), 2),
+          bench::fmt(ours_iters.mean(), 1),
+          bench::fmt(base_phases.mean(), 1)};
+      for (const RunningStats& part : split) {
+        row.push_back(bench::fmt(part.mean(), 0));
+      }
+      table.add_row(std::move(row));
     }
   }
   table.print();

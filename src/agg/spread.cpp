@@ -3,19 +3,9 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 namespace gq {
-namespace {
-
-SpreadResult to_key_result(GenericSpreadResult<Key>&& g) {
-  SpreadResult out;
-  out.values = std::move(g.values);
-  out.rounds = g.rounds;
-  out.converged = g.converged;
-  return out;
-}
-
-}  // namespace
 
 std::uint64_t spread_rounds_cap(std::uint32_t n,
                                 const FailureModel& failures) {
@@ -34,16 +24,40 @@ std::uint64_t spread_rounds_cap(const Network& net) {
 
 SpreadResult spread_max(Network& net, std::span<const Key> init,
                         std::uint64_t max_rounds) {
-  return to_key_result(
-      spread_best(net, init, std::less<Key>{}, key_bits(net.size()),
-                  max_rounds));
+  return spread_best(net, std::vector<Key>(init.begin(), init.end()),
+                     KeepBetter<std::less<Key>>{}, key_bits(net.size()),
+                     max_rounds);
 }
 
 SpreadResult spread_min(Network& net, std::span<const Key> init,
                         std::uint64_t max_rounds) {
-  return to_key_result(
-      spread_best(net, init, std::greater<Key>{}, key_bits(net.size()),
-                  max_rounds));
+  return spread_best(net, std::vector<Key>(init.begin(), init.end()),
+                     KeepBetter<std::greater<Key>>{}, key_bits(net.size()),
+                     max_rounds);
+}
+
+std::vector<MinMaxKeys> min_max_payloads(std::vector<Key> min_init,
+                                         std::vector<Key> max_init) {
+  GQ_REQUIRE(min_init.size() == max_init.size(),
+             "one payload per node and lane required");
+  std::vector<MinMaxKeys> out(min_init.size());
+  for (std::size_t v = 0; v < out.size(); ++v) {
+    out[v] = {min_init[v], max_init[v]};
+  }
+  // By-value parameters may outlive the call until the caller's full
+  // expression ends, which here spans the whole spread: free them now.
+  min_init = std::vector<Key>();
+  max_init = std::vector<Key>();
+  return out;
+}
+
+GenericSpreadResult<MinMaxKeys> spread_min_max(Network& net,
+                                               std::vector<Key> min_init,
+                                               std::vector<Key> max_init,
+                                               std::uint64_t max_rounds) {
+  return spread_best(
+      net, min_max_payloads(std::move(min_init), std::move(max_init)),
+      MinMaxJoin{}, 2 * key_bits(net.size()), max_rounds);
 }
 
 }  // namespace gq

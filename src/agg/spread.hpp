@@ -1,9 +1,10 @@
 // Rumor-spreading primitives: max/min broadcast over uniform gossip.
 //
 // Each round every node pulls from a uniformly random other node and keeps
-// the "better" of the two payloads.  A single extreme value reaches all
-// nodes in O(log n) rounds w.h.p. [FG85, Pit87]; under the Section-5 failure
-// model the same bound holds with a 1/(1-mu) slowdown [ES09].
+// the "better" of the two payloads, lane by lane for multi-lane payloads.
+// A single extreme value reaches all nodes in O(log n) rounds w.h.p.
+// [FG85, Pit87]; under the Section-5 failure model the same bound holds
+// with a 1/(1-mu) slowdown [ES09].
 //
 // Termination: the simulator stops as soon as all nodes agree (an omniscient
 // check) and additionally enforces a cap.  A deployed system would stop
@@ -15,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/key.hpp"
@@ -34,29 +36,68 @@ template <typename T>
 struct GenericSpreadResult {
   std::vector<T> values;     // per-node final payload
   std::uint64_t rounds = 0;  // rounds consumed
-  bool converged = false;    // all nodes hold the global best payload
+  bool converged = false;    // all nodes hold the target payload
 };
 
-// Spreads the extreme payload under strict weak order `less`: every node
-// converges to the maximum element w.h.p.  `bits_per_message` is the
-// accounted size of one payload.
-template <typename T, typename Less>
-GenericSpreadResult<T> spread_best(Network& net, std::span<const T> init,
-                                   Less less, std::uint64_t bits_per_message,
+using SpreadResult = GenericSpreadResult<Key>;
+
+// A spread's merge rule, its `Join`: after pulling a peer, a node keeps
+// `join(own, peer)`.  The target is the join of every initial payload in
+// node order; the run stops once every node holds it.  Joins are applied
+// per lane, so a multi-lane payload spreads all its lanes off the same
+// pulls.
+
+// The one-lane extreme spread: keep the better payload under `less`, a
+// total order on the payload type; the target is the maximum.
+template <typename Less>
+struct KeepBetter {
+  Less less;
+
+  template <typename T>
+  const T& operator()(const T& own, const T& peer) const {
+    return less(own, peer) ? peer : own;
+  }
+};
+
+// The two-lane payload of the exact pipeline's bracket spread: lane `min`
+// spreads the smallest key, lane `max` the largest.
+struct MinMaxKeys {
+  Key min;
+  Key max;
+
+  friend bool operator==(const MinMaxKeys&, const MinMaxKeys&) = default;
+};
+
+struct MinMaxJoin {
+  MinMaxKeys operator()(const MinMaxKeys& own, const MinMaxKeys& peer) const {
+    return {std::min(own.min, peer.min), std::max(own.max, peer.max)};
+  }
+};
+
+// Zips one payload per node and lane into spread_min_max's initial state,
+// releasing the inputs.
+[[nodiscard]] std::vector<MinMaxKeys> min_max_payloads(
+    std::vector<Key> min_init, std::vector<Key> max_init);
+
+// Spreads `init` under `join`; `bits_per_message` is the accounted size of
+// one payload.  Takes the payloads by value so callers can hand over their
+// buffer.
+template <typename T, typename Join>
+GenericSpreadResult<T> spread_best(Network& net, std::vector<T> cur,
+                                   Join join, std::uint64_t bits_per_message,
                                    std::uint64_t max_rounds = 0) {
   const std::uint32_t n = net.size();
-  GQ_REQUIRE(init.size() == n, "one payload per node required");
+  GQ_REQUIRE(cur.size() == n, "one payload per node required");
   if (max_rounds == 0) max_rounds = spread_rounds_cap(net);
 
-  std::vector<T> cur(init.begin(), init.end());
-  const T target = *std::max_element(cur.begin(), cur.end(), less);
+  T target = cur.front();
+  for (std::uint32_t v = 1; v < n; ++v) target = join(target, cur[v]);
 
   GenericSpreadResult<T> out;
   std::vector<T> next(n);
   const auto all_done = [&] {
-    return std::all_of(cur.begin(), cur.end(), [&](const T& k) {
-      return !less(k, target) && !less(target, k);
-    });
+    return std::all_of(cur.begin(), cur.end(),
+                       [&](const T& k) { return k == target; });
   };
   for (std::uint64_t r = 0; r < max_rounds; ++r) {
     if (all_done()) {
@@ -67,8 +108,7 @@ GenericSpreadResult<T> spread_best(Network& net, std::span<const T> init,
     ++out.rounds;
     for (std::uint32_t v = 0; v < n; ++v) {
       const std::uint32_t p = peers[v];
-      next[v] = (p != Network::kNoPeer && less(cur[v], cur[p])) ? cur[p]
-                                                                : cur[v];
+      next[v] = p != Network::kNoPeer ? join(cur[v], cur[p]) : cur[v];
     }
     cur.swap(next);
   }
@@ -77,12 +117,6 @@ GenericSpreadResult<T> spread_best(Network& net, std::span<const T> init,
   return out;
 }
 
-struct SpreadResult {
-  std::vector<Key> values;   // per-node final key
-  std::uint64_t rounds = 0;  // rounds consumed
-  bool converged = false;    // all nodes hold the global extreme
-};
-
 // Max-spreading: every node ends up with max(init) w.h.p.
 [[nodiscard]] SpreadResult spread_max(Network& net, std::span<const Key> init,
                                       std::uint64_t max_rounds = 0);
@@ -90,5 +124,14 @@ struct SpreadResult {
 // Min-spreading: every node ends up with min(init) w.h.p.
 [[nodiscard]] SpreadResult spread_min(Network& net, std::span<const Key> init,
                                       std::uint64_t max_rounds = 0);
+
+// Both at once: every node ends up with {min(min_init), max(max_init)}
+// w.h.p.  Each pull carries both lanes (2 x key_bits(n) bits) and the run
+// stops once both lanes agree at every node, so it costs the slower lane's
+// rounds instead of the sum of two spreads.  The inputs are released before
+// the first round.
+[[nodiscard]] GenericSpreadResult<MinMaxKeys> spread_min_max(
+    Network& net, std::vector<Key> min_init, std::vector<Key> max_init,
+    std::uint64_t max_rounds = 0);
 
 }  // namespace gq

@@ -15,14 +15,26 @@
 // Bit-identity of the two paths then reduces to bit-identity of each
 // primitive, which tests/test_engine.cpp pins kernel by kernel.
 //
+// Steps 3-4 run on the shared schedule of core/multi_pipeline.hpp: the
+// (k/n - s)- and (k/n + s)-quantile brackets are two lanes of ONE
+// tournament run, and their extremes spread as two lanes of ONE pull
+// sequence (spread_min_max), which stops once both lanes agree everywhere.
+// When multi_quantile routes per target instead (a failure model or
+// adversary is installed, or the slack sits below the tournament floor),
+// the iteration runs two approx runs and then two single-lane spreads, so
+// robust and adversarial transcripts do not depend on the shared schedule.
+//
 // The Ops concept (duck-typed; see NetworkExactOps / EngineExactOps):
 //   uint32_t  size();
 //   uint64_t  seed();                // diagnostic context for typed aborts
 //   uint64_t  round();               //   "  (stream-relative round counter)
 //   const Metrics& metrics();
 //   ApproxQuantileResult approx(span<const Key>, const ApproxQuantileParams&);
+//   MultiQuantileResult  multi(span<const Key>, const MultiQuantileParams&);
 //   SpreadResult spread_min_keys(span<const Key>);
 //   SpreadResult spread_max_keys(span<const Key>);
+//   GenericSpreadResult<MinMaxKeys> spread_min_max_keys(vector<Key> min_init,
+//                                                       vector<Key> max_init);
 //   CountResult  count(const vector<bool>&);
 //   CountResult  rank(span<const Key>, const Key&);
 //   TripleCountResult count3(const vector<bool>&, ..., ...);
@@ -39,11 +51,13 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "agg/rank_count.hpp"
 #include "agg/spread.hpp"
 #include "analysis/theory_bounds.hpp"
+#include "core/multi_quantile.hpp"
 #include "core/params.hpp"
 #include "core/pivot.hpp"
 #include "core/result.hpp"
@@ -78,15 +92,28 @@ struct PipelineOutcome {
   std::size_t endgame_phases = 0;
 };
 
-// Broadcasts the smallest finite key among `contributions` to every node.
+// Runs `step` and bills the rounds it consumed to `bucket`.
+template <typename Ops, typename Step>
+auto metered(Ops& ops, std::uint64_t& bucket, Step&& step) {
+  const std::uint64_t before = ops.metrics().rounds;
+  auto result = step();
+  bucket += ops.metrics().rounds - before;
+  return result;
+}
+
+// Broadcasts the smallest valued key among `contributions` (anything but
+// the Step-6 marker; a genuine -inf input is a value) to every node.
 template <typename Ops>
-Key broadcast_min_finite(Ops& ops, std::vector<Key> contributions,
-                         std::vector<Key>& outputs) {
-  const SpreadResult sr = ops.spread_min_keys(contributions);
-  GQ_REQUIRE(sr.converged && sr.values.front().is_finite(),
-             "answer broadcast failed to converge on a finite key");
-  outputs = sr.values;
-  return sr.values.front();
+Key broadcast_min_valued(Ops& ops, const std::vector<Key>& contributions,
+                         std::vector<Key>& outputs,
+                         ExactRoundBreakdown& spent) {
+  SpreadResult sr = metered(ops, spent.spreads, [&] {
+    return ops.spread_min_keys(contributions);
+  });
+  GQ_REQUIRE(sr.converged && sr.values.front() != Key::infinite(),
+             "answer broadcast failed to converge on a valued key");
+  outputs = std::move(sr.values);
+  return outputs.front();
 }
 
 // Uniform-pivot selection phases (shared mechanics with the KDG03
@@ -95,7 +122,8 @@ template <typename Ops>
 PipelineOutcome selection_endgame(Ops& ops, std::vector<Key>& inst,
                                   std::uint64_t k,
                                   const ExactQuantileParams& params,
-                                  std::size_t iterations_so_far) {
+                                  std::size_t iterations_so_far,
+                                  ExactRoundBreakdown& spent) {
   GQ_SPAN("exact/selection_endgame");
   const std::uint32_t n = ops.size();
   PipelineOutcome out;
@@ -108,9 +136,11 @@ PipelineOutcome selection_endgame(Ops& ops, std::vector<Key>& inst,
     GQ_SPAN("exact/endgame_phase");
     for (std::uint32_t v = 0; v < n; ++v) {
       candidate[v] =
-          inst[v].is_finite() && lo_e < inst[v] && inst[v] < hi_e;
+          inst[v] != Key::infinite() && lo_e < inst[v] && inst[v] < hi_e;
     }
-    const PivotSample pv = ops.pivot(inst, candidate);
+    const PivotSample pv = metered(ops, spent.endgame, [&] {
+      return ops.pivot(inst, candidate);
+    });
     if (!pv.found) {
       throw ExactPipelineError(
           ExactPipelineError::Kind::kEndgameNoCandidates,
@@ -118,7 +148,9 @@ PipelineOutcome selection_endgame(Ops& ops, std::vector<Key>& inst,
           abort_context(ops, "selection_endgame"));
     }
     ++out.endgame_phases;
-    const std::uint64_t rank = ops.rank(inst, pv.pivot).counts[0];
+    const std::uint64_t rank =
+        metered(ops, spent.endgame, [&] { return ops.rank(inst, pv.pivot); })
+            .counts[0];
     if (rank == k) {
       out.answer = pv.pivot;
       out.outputs.assign(n, pv.pivot);
@@ -138,12 +170,32 @@ PipelineOutcome selection_endgame(Ops& ops, std::vector<Key>& inst,
 
 // Predicted round costs used by ExactStrategy::kAuto.  These only steer the
 // strategy choice; all reported costs are measured, not predicted.
+//
+// One calibration per bracketing route.  The per-target route (failure
+// model, adversary, slack below the tournament floor) prices two approx
+// runs and two spreads per iteration and 1.6 log2 + 4 endgame phases; both
+// run about 1.5-2x above measured costs, which cancel in the comparison,
+// and keeping them keeps robust and adversarial transcripts pinned.  The
+// shared route prices what it runs: one two-lane bracket run and one pair
+// spread per iteration, and the endgame phases as measured on failure-free
+// runs.
 struct CostModel {
   double per_endgame_phase;  // pivot spread + exact count
-  double per_iteration;      // 2 approx runs + 2 spreads + triple count + tokens
+  double per_iteration;      // bracketing + triple count + tokens
+  bool shared;
+
+  // Predicted selection phases to find one rank among `survivors`
+  // candidates.  Uniform pivots shave ~log2(4/3) candidates per phase; the
+  // shared-route fit is within 1.5 phases of the measured means for 10^2
+  // to 2.5 * 10^3 survivors.
+  [[nodiscard]] double endgame_phases(std::uint64_t survivors) const {
+    const double lg =
+        std::log2(std::max(2.0, static_cast<double>(survivors)));
+    return shared ? 1.2 * lg + 1.0 : 1.6 * lg + 4.0;
+  }
 
   static CostModel build(std::uint32_t n, std::uint64_t exact_count_rounds,
-                         double slack) {
+                         double slack, bool shared) {
     const auto nd = static_cast<double>(n);
     const double log2n = std::log2(nd);
     const double count_rounds = static_cast<double>(exact_count_rounds);
@@ -153,16 +205,57 @@ struct CostModel {
                phase2_iteration_bound(slack / 4.0, n)) +
         20.0;
     CostModel m{};
+    m.shared = shared;
     m.per_endgame_phase = 1.0 + spread_rounds + count_rounds;
-    m.per_iteration = 2.0 * approx_rounds + 2.0 * spread_rounds +
+    const double runs = shared ? 1.0 : 2.0;
+    m.per_iteration = runs * approx_rounds + runs * spread_rounds +
                       count_rounds + log2n + 10.0;
     return m;
   }
 };
 
+// One iteration's bracket: lo/hi as spread to every node (a side whose run
+// served no node comes back as its sentinel), and whether the two targets
+// shared one schedule.
+struct Bracket {
+  Key lo;
+  Key hi;
+  bool shared = false;
+};
+
+// Steps 3-4: approximate the two target quantiles of `inst` and spread the
+// lower run's minimum and the upper run's maximum to every node.
+template <typename Ops>
+Bracket bracket(Ops& ops, std::span<const Key> inst,
+                const MultiQuantileParams& targets,
+                ExactRoundBreakdown& spent) {
+  MultiQuantileResult runs =
+      metered(ops, spent.brackets, [&] { return ops.multi(inst, targets); });
+  ApproxQuantileResult& r_lo = runs.per_phi[0];
+  ApproxQuantileResult& r_hi = runs.per_phi[1];
+  for (std::size_t v = 0; v < inst.size(); ++v) {
+    if (!r_lo.valid[v]) r_lo.outputs[v] = Key::infinite();
+    if (!r_hi.valid[v]) r_hi.outputs[v] = Key::neg_infinite();
+  }
+  if (runs.shared_schedule) {
+    const GenericSpreadResult<MinMaxKeys> both =
+        metered(ops, spent.spreads, [&] {
+          return ops.spread_min_max_keys(std::move(r_lo.outputs),
+                                         std::move(r_hi.outputs));
+        });
+    return {both.values.front().min, both.values.front().max, true};
+  }
+  const SpreadResult s_lo = metered(
+      ops, spent.spreads, [&] { return ops.spread_min_keys(r_lo.outputs); });
+  const SpreadResult s_hi = metered(
+      ops, spent.spreads, [&] { return ops.spread_max_keys(r_hi.outputs); });
+  return {s_lo.values.front(), s_hi.values.front(), false};
+}
+
 template <typename Ops>
 PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
-                             const ExactQuantileParams& params) {
+                             const ExactQuantileParams& params,
+                             ExactRoundBreakdown& spent) {
   GQ_SPAN("exact/run_pipeline");
   const std::uint32_t n = ops.size();
   const auto nd = static_cast<double>(n);
@@ -184,21 +277,28 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
   std::uint64_t block = 1;  // ranks (k-block, k] of inst all hold the answer
   PipelineOutcome out;
 
-  ApproxQuantileParams inner;
-  inner.eps = s;
   // The brackets take the min/max over ALL nodes' outputs, so a single
   // tail outlier inflates the window.  K = 31 drives the per-node outlier
   // probability below 1/poly(n) (Lemma 2.17 amplification).
-  inner.final_sample_size = 31;
+  constexpr std::uint32_t kBracketSamples = 31;
+  ApproxQuantileParams inner;
+  inner.eps = s;
+  inner.final_sample_size = kBracketSamples;
+  MultiQuantileParams targets;
+  targets.eps = s;
+  targets.final_sample_size = kBracketSamples;
+  targets.phis.resize(2);
+
+  const auto endgame = [&] {
+    return selection_endgame(ops, inst, k, params, out.iterations, spent);
+  };
 
   while (true) {
     if (block >= k) {
       // The answer block covers every rank <= k, so the smallest surviving
       // key is an answer copy; one min-broadcast finishes (this is also the
       // phi ~ 0 fast path, where k0 = 1 makes the input minimum the answer).
-      std::vector<Key> contributions = inst;
-      out.answer =
-          broadcast_min_finite(ops, std::move(contributions), out.outputs);
+      out.answer = broadcast_min_valued(ops, inst, out.outputs, spent);
       out.valid.assign(n, true);
       return out;
     }
@@ -206,47 +306,39 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
       // Step 10: one approximate query lands every node inside the answer
       // block; broadcast the smallest output to serve stragglers.
       inner.phi = std::clamp(static_cast<double>(k) / nd - 2.0 * s, 0.0, 1.0);
-      ApproxQuantileResult fin = ops.approx(inst, inner);
+      ApproxQuantileResult fin = metered(
+          ops, spent.brackets, [&] { return ops.approx(inst, inner); });
       for (std::uint32_t v = 0; v < n; ++v) {
         if (!fin.valid[v]) fin.outputs[v] = Key::infinite();
       }
-      out.answer = broadcast_min_finite(ops, std::move(fin.outputs),
-                                        out.outputs);
+      out.answer = broadcast_min_valued(ops, fin.outputs, out.outputs, spent);
       out.valid.assign(n, true);
       return out;
     }
-    if (out.iterations >= params.max_iterations) {
-      return selection_endgame(ops, inst, k, params, out.iterations);
-    }
+    if (out.iterations >= params.max_iterations) return endgame();
     ++out.iterations;
     GQ_SPAN("exact/iteration");
 
     // Steps 3-4: bracket the k/n-quantile from both sides and spread the
     // extremes.
-    inner.phi = std::clamp(static_cast<double>(k) / nd - s, 0.0, 1.0);
-    ApproxQuantileResult r_lo = ops.approx(inst, inner);
-    inner.phi = std::clamp(static_cast<double>(k) / nd + s, 0.0, 1.0);
-    ApproxQuantileResult r_hi = ops.approx(inst, inner);
-
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (!r_lo.valid[v]) r_lo.outputs[v] = Key::infinite();
-      if (!r_hi.valid[v]) r_hi.outputs[v] = Key::neg_infinite();
-    }
-    const SpreadResult s_lo = ops.spread_min_keys(r_lo.outputs);
-    const SpreadResult s_hi = ops.spread_max_keys(r_hi.outputs);
-    const Key lo = s_lo.values.front();
-    const Key hi = s_hi.values.front();
+    targets.phis[0] = std::clamp(static_cast<double>(k) / nd - s, 0.0, 1.0);
+    targets.phis[1] = std::clamp(static_cast<double>(k) / nd + s, 0.0, 1.0);
+    const Bracket br = bracket(ops, inst, targets, spent);
+    const Key lo = br.lo;
+    const Key hi = br.hi;
     // A bracket can degenerate when an inner run misses its w.h.p. window
-    // (e.g. the upper run lands on a valueless node's +inf key).  A
-    // one-sided miss is tolerated by dropping that side's filter below;
-    // a two-sided or crossed miss makes the iteration useless.
-    const bool lo_ok = lo.is_finite();
-    const bool hi_ok = hi.is_finite();
+    // (e.g. the upper run lands on a valueless node's marker, which sits
+    // above every value).  A side is usable only if it spread a value:
+    // neither its own "no output" sentinel nor the Step-6 marker.  A
+    // one-sided miss is tolerated by dropping that side's filter below; a
+    // two-sided or crossed miss makes the iteration useless.
+    const bool lo_ok = lo != Key::infinite();
+    const bool hi_ok = hi != Key::neg_infinite() && hi != Key::infinite();
     if ((!lo_ok && !hi_ok) || (lo_ok && hi_ok && hi < lo)) {
       if (params.strategy == ExactStrategy::kPreferDuplication) {
         continue;  // re-bracket with fresh randomness
       }
-      return selection_endgame(ops, inst, k, params, out.iterations);
+      return endgame();
     }
 
     // Step 5: exact counts — A = rank(lo), B = rank(hi), F = #valued — in
@@ -255,9 +347,10 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
     for (std::uint32_t v = 0; v < n; ++v) {
       ind_a[v] = inst[v] <= lo;
       ind_b[v] = inst[v] <= hi;
-      ind_c[v] = inst[v].is_finite();
+      ind_c[v] = inst[v] != Key::infinite();
     }
-    const TripleCountResult cnt = ops.count3(ind_a, ind_b, ind_c);
+    const TripleCountResult cnt = metered(
+        ops, spent.counts, [&] { return ops.count3(ind_a, ind_b, ind_c); });
     const std::uint64_t rank_lo = cnt.a.front();
     const std::uint64_t rank_hi = cnt.b.front();
     const std::uint64_t finite_cnt = cnt.c.front();
@@ -283,7 +376,7 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
       if (params.strategy == ExactStrategy::kPreferDuplication) {
         continue;  // re-bracket with fresh randomness
       }
-      return selection_endgame(ops, inst, k, params, out.iterations);
+      return endgame();
     }
 
     // Step 6: discard values outside [lo, hi].
@@ -336,31 +429,27 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
           // The duplication route terminates when the block reaches either
           // block_target or k itself (the min-broadcast fast path).
           const CostModel cost =
-              CostModel::build(n, ops.exact_count_rounds(), s);
+              CostModel::build(n, ops.exact_count_rounds(), s, br.shared);
           const double goal = static_cast<double>(
               std::min<std::uint64_t>(block_target, k));
           const double dup_iters = std::max(
               1.0, std::ceil(std::log(goal / static_cast<double>(block)) /
                              std::log(static_cast<double>(m))));
-          // Uniform pivots shave ~log2(4/3) candidates per phase; 1.6x
-          // log2 matches the measured phase counts.
-          const double endgame_phases =
-              1.6 * std::log2(std::max(2.0, static_cast<double>(survivors))) +
-              4.0;
-          go_endgame = endgame_phases * cost.per_endgame_phase <
+          go_endgame = cost.endgame_phases(survivors) *
+                           cost.per_endgame_phase <
                        dup_iters * cost.per_iteration;
         }
         break;
       }
     }
-    if (go_endgame) {
-      return selection_endgame(ops, inst, k, params, out.iterations);
-    }
+    if (go_endgame) return endgame();
     if (m >= 2) {
       GQ_SPAN("exact/token_split");
-      const TokenSplitResult ts = ops.token_split(
-          inst, m, static_cast<std::uint64_t>(out.iterations) << 32);
-      inst = ts.instance;
+      TokenSplitResult ts = metered(ops, spent.token_split, [&] {
+        return ops.token_split(
+            inst, m, static_cast<std::uint64_t>(out.iterations) << 32);
+      });
+      inst = std::move(ts.instance);
       k *= m;
       block *= m;
     }
@@ -382,10 +471,11 @@ ExactQuantileResult exact_quantile_keys_impl(
   const std::uint64_t k0 = std::clamp<std::uint64_t>(
       static_cast<std::uint64_t>(std::ceil(params.phi * nd)), 1, n);
   const Metrics before = ops.metrics();
+  ExactRoundBreakdown spent;
 
   constexpr int kMaxAttempts = 3;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    const PipelineOutcome pipe = run_pipeline(ops, keys, params);
+    const PipelineOutcome pipe = run_pipeline(ops, keys, params, spent);
 
     // Verification: the answer's rank among the ORIGINAL keys must be
     // exactly k0.  The probe's maximal tag matches every duplication copy
@@ -395,7 +485,9 @@ ExactQuantileResult exact_quantile_keys_impl(
                     std::numeric_limits<std::uint64_t>::max()};
     std::vector<bool> indicator(n);
     for (std::uint32_t v = 0; v < n; ++v) indicator[v] = keys[v] <= probe;
-    const std::uint64_t measured = ops.count(indicator).counts.front();
+    const std::uint64_t measured =
+        metered(ops, spent.verification, [&] { return ops.count(indicator); })
+            .counts.front();
     if (measured != k0) continue;  // retry with fresh randomness
 
     ExactQuantileResult out;
@@ -405,6 +497,7 @@ ExactQuantileResult exact_quantile_keys_impl(
     out.iterations = pipe.iterations;
     out.endgame_phases = pipe.endgame_phases;
     out.rounds = ops.metrics().rounds - before.rounds;
+    out.round_breakdown = spent;
     return out;
   }
   throw ExactPipelineError(

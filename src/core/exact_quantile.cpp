@@ -1,10 +1,13 @@
 #include "core/exact_quantile.hpp"
 
+#include <utility>
+
 #include "agg/push_sum.hpp"
 #include "agg/rank_count.hpp"
 #include "agg/spread.hpp"
 #include "core/approx_quantile.hpp"
 #include "core/exact_pipeline.hpp"
+#include "core/multi_quantile.hpp"
 #include "core/pivot.hpp"
 #include "core/token_split.hpp"
 #include "util/require.hpp"
@@ -29,11 +32,19 @@ struct NetworkExactOps {
                               const ApproxQuantileParams& params) {
     return approx_quantile_keys(net, keys, params);
   }
+  MultiQuantileResult multi(std::span<const Key> keys,
+                            const MultiQuantileParams& params) {
+    return multi_quantile_keys(net, keys, params);
+  }
   SpreadResult spread_min_keys(std::span<const Key> init) {
     return spread_min(net, init);
   }
   SpreadResult spread_max_keys(std::span<const Key> init) {
     return spread_max(net, init);
+  }
+  GenericSpreadResult<MinMaxKeys> spread_min_max_keys(
+      std::vector<Key> min_init, std::vector<Key> max_init) {
+    return spread_min_max(net, std::move(min_init), std::move(max_init));
   }
   CountResult count(const std::vector<bool>& indicator) {
     return gossip_count(net, indicator);

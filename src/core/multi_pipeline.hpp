@@ -67,7 +67,11 @@
 //
 // Instantiated by core/multi_quantile.cpp (Network) and
 // engine/pipelines.cpp (Engine); bit-identity of the two is pinned by
-// tests/test_engine_multi.cpp at 1/2/8 threads.
+// tests/test_engine_multi.cpp at 1/2/8 threads.  Callers: the public
+// multi_quantile batch, the service's kMultiQuantile queries, and
+// Algorithm 3's Steps 3-4 (core/exact_pipeline.hpp), whose two brackets
+// ride one run and whose robust/adversarial iterations take the
+// per-target route.
 #pragma once
 
 #include <algorithm>

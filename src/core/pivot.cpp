@@ -1,5 +1,7 @@
 #include "core/pivot.hpp"
 
+#include <utility>
+
 #include "agg/spread.hpp"
 #include "util/require.hpp"
 
@@ -29,9 +31,9 @@ PivotSample sample_uniform_candidate(Network& net, std::span<const Key> inst,
     pairs[v] = PriorityKey{stream() | 1ull, inst[v]};
   }
 
-  const GenericSpreadResult<PriorityKey> spread = spread_best(
-      net, std::span<const PriorityKey>(pairs), PriorityLess{},
-      pivot_detail::priority_key_bits(n));
+  const GenericSpreadResult<PriorityKey> spread =
+      spread_best(net, std::move(pairs), KeepBetter<PriorityLess>{},
+                  pivot_detail::priority_key_bits(n));
 
   PivotSample out;
   out.rounds = 1 + spread.rounds;

@@ -28,6 +28,8 @@ namespace pivot_detail {
 struct PriorityKey {
   std::uint64_t priority = 0;  // 0 = not a candidate
   Key key = Key::infinite();
+
+  friend bool operator==(const PriorityKey&, const PriorityKey&) = default;
 };
 
 struct PriorityLess {

@@ -110,6 +110,25 @@ struct ApproxQuantileResult {
   }
 };
 
+// Where an exact run's rounds went, by gossip substrate of Algorithm 3.
+// Measured as Metrics::rounds deltas around each substrate call over every
+// verification attempt, so the fields sum to ExactQuantileResult::rounds.
+struct ExactRoundBreakdown {
+  std::uint64_t brackets = 0;      // inner approx runs: Steps 3-4 and 10
+  std::uint64_t spreads = 0;       // bracket extremes and answer broadcasts
+  std::uint64_t counts = 0;        // Step 5 triple counts
+  std::uint64_t token_split = 0;   // Steps 7-8 duplication
+  std::uint64_t endgame = 0;       // selection phases: pivots and ranks
+  std::uint64_t verification = 0;  // the answer's rank check per attempt
+
+  [[nodiscard]] std::uint64_t total() const {
+    return brackets + spreads + counts + token_split + endgame +
+           verification;
+  }
+  friend bool operator==(const ExactRoundBreakdown&,
+                         const ExactRoundBreakdown&) = default;
+};
+
 struct ExactQuantileResult {
   Key answer;                 // the exact phi-quantile of the input
   std::vector<Key> outputs;   // per-node copy of the answer
@@ -117,6 +136,7 @@ struct ExactQuantileResult {
   std::uint64_t rounds = 0;   // total gossip rounds consumed
   std::size_t iterations = 0; // bracketing iterations executed
   std::size_t endgame_phases = 0;  // selection phases after bracketing
+  ExactRoundBreakdown round_breakdown;  // `rounds` by substrate
 };
 
 struct OwnRankResult {

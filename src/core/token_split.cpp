@@ -18,14 +18,16 @@ TokenSplitResult token_split_distribute(Network& net,
              "multiplier must be a power of two");
 
   std::uint64_t finite = 0;
-  for (const Key& k : inst) finite += k.is_finite() ? 1 : 0;
+  for (const Key& k : inst) finite += k != Key::infinite() ? 1 : 0;
   GQ_REQUIRE(finite >= 1, "token split needs at least one valued node");
   GQ_REQUIRE(multiplier * finite <= 4ull * n / 5 + 1,
              "token count must leave >= n/5 nodes free for scattering");
 
   std::vector<std::vector<Token>> held(n);
   for (std::uint32_t v = 0; v < n; ++v) {
-    if (inst[v].is_finite()) held[v].push_back(Token{inst[v], multiplier});
+    if (inst[v] != Key::infinite()) {
+      held[v].push_back(Token{inst[v], multiplier});
+    }
   }
 
   TokenSplitResult out;

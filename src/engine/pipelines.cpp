@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <utility>
 
 #include "agg/push_sum.hpp"
 #include "analysis/theory_bounds.hpp"
@@ -26,44 +27,37 @@ namespace {
 
 // ---- generic extreme-spreading -------------------------------------------
 //
-// The batched twin of agg/spread.hpp's spread_best: same target (the global
-// best under `less`, found shard-wise in shard order), same per-round fold,
-// same convergence checks, so round counts and Metrics match the sequential
-// loop exactly.  The per-shard done flags are folded into the round kernel
-// so the omniscient all-agree check costs no extra parallel section.
-template <typename T, typename Less>
-GenericSpreadResult<T> engine_spread_best(Engine& engine,
-                                          std::span<const T> init, Less less,
+// The batched twin of agg/spread.hpp's spread_best: same target (the join
+// of every initial payload, folded shard-wise and combined in shard order),
+// same per-round fold, same convergence checks, so round counts and Metrics
+// match the sequential loop exactly.  The per-shard done flags are folded
+// into the round kernel so the omniscient all-agree check costs no extra
+// parallel section.
+template <typename T, typename Join>
+GenericSpreadResult<T> engine_spread_best(Engine& engine, std::vector<T> cur,
+                                          Join join,
                                           std::uint64_t bits_per_message,
                                           std::uint64_t max_rounds = 0) {
   const std::uint32_t n = engine.size();
-  GQ_REQUIRE(init.size() == n, "one payload per node required");
+  GQ_REQUIRE(cur.size() == n, "one payload per node required");
   if (max_rounds == 0) {
     max_rounds = spread_rounds_cap(n, engine.failures());
   }
-
-  std::vector<T> cur(init.begin(), init.end());
   const std::size_t shards = engine.num_shards();
 
-  // The global best: per-shard first-maximum, combined in shard order —
-  // equivalent to std::max_element's first-maximum over the whole range.
   std::vector<T> shard_best(shards);
   engine.parallel_shards(
       [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
         T best = cur[begin];
         for (std::uint32_t v = begin + 1; v < end; ++v) {
-          if (less(best, cur[v])) best = cur[v];
+          best = join(best, cur[v]);
         }
         shard_best[engine.shard_of(begin)] = best;
       });
   T target = shard_best[0];
   for (std::size_t s = 1; s < shards; ++s) {
-    if (less(target, shard_best[s])) target = shard_best[s];
+    target = join(target, shard_best[s]);
   }
-
-  const auto equivalent = [&](const T& k) {
-    return !less(k, target) && !less(target, k);
-  };
 
   GenericSpreadResult<T> out;
   std::vector<T> next(n);
@@ -74,7 +68,7 @@ GenericSpreadResult<T> engine_spread_best(Engine& engine,
       [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
         std::uint8_t flag = 1;
         for (std::uint32_t v = begin; v < end; ++v) {
-          if (!equivalent(cur[v])) {
+          if (cur[v] != target) {
             flag = 0;
             break;
           }
@@ -105,9 +99,8 @@ GenericSpreadResult<T> engine_spread_best(Engine& engine,
               if (ahead != Engine::kNoPeer) prefetch_read(&cur[ahead]);
             }
             const std::uint32_t p = peers[v];
-            next[v] = (p != Engine::kNoPeer && less(cur[v], cur[p])) ? cur[p]
-                                                                     : cur[v];
-            if (!equivalent(next[v])) flag = 0;
+            next[v] = p != Engine::kNoPeer ? join(cur[v], cur[p]) : cur[v];
+            if (next[v] != target) flag = 0;
           }
           done[engine.shard_of(begin)] = flag;
         });
@@ -248,24 +241,25 @@ MultiPushSumResult<D> engine_push_sum_average_multi(
 
 SpreadResult spread_min(Engine& engine, std::span<const Key> init,
                         std::uint64_t max_rounds) {
-  GenericSpreadResult<Key> g = engine_spread_best(
-      engine, init, std::greater<Key>{}, key_bits(engine.size()), max_rounds);
-  SpreadResult out;
-  out.values = std::move(g.values);
-  out.rounds = g.rounds;
-  out.converged = g.converged;
-  return out;
+  return engine_spread_best(engine, std::vector<Key>(init.begin(), init.end()),
+                            KeepBetter<std::greater<Key>>{},
+                            key_bits(engine.size()), max_rounds);
 }
 
 SpreadResult spread_max(Engine& engine, std::span<const Key> init,
                         std::uint64_t max_rounds) {
-  GenericSpreadResult<Key> g = engine_spread_best(
-      engine, init, std::less<Key>{}, key_bits(engine.size()), max_rounds);
-  SpreadResult out;
-  out.values = std::move(g.values);
-  out.rounds = g.rounds;
-  out.converged = g.converged;
-  return out;
+  return engine_spread_best(engine, std::vector<Key>(init.begin(), init.end()),
+                            KeepBetter<std::less<Key>>{},
+                            key_bits(engine.size()), max_rounds);
+}
+
+GenericSpreadResult<MinMaxKeys> spread_min_max(Engine& engine,
+                                               std::vector<Key> min_init,
+                                               std::vector<Key> max_init,
+                                               std::uint64_t max_rounds) {
+  return engine_spread_best(
+      engine, min_max_payloads(std::move(min_init), std::move(max_init)),
+      MinMaxJoin{}, 2 * key_bits(engine.size()), max_rounds);
 }
 
 CountResult gossip_count(Engine& engine, const std::vector<bool>& indicator,
@@ -363,9 +357,9 @@ PivotSample sample_uniform_candidate(Engine& engine,
         }
       });
 
-  const GenericSpreadResult<PriorityKey> spread = engine_spread_best(
-      engine, std::span<const PriorityKey>(pairs), PriorityLess{},
-      pivot_detail::priority_key_bits(n));
+  const GenericSpreadResult<PriorityKey> spread =
+      engine_spread_best(engine, std::move(pairs), KeepBetter<PriorityLess>{},
+                         pivot_detail::priority_key_bits(n));
 
   PivotSample out;
   out.rounds = 1 + spread.rounds;
@@ -414,7 +408,7 @@ TokenSplitResult token_split_distribute(Engine& engine,
              "multiplier must be a power of two");
 
   std::uint64_t finite = 0;
-  for (const Key& k : inst) finite += k.is_finite() ? 1 : 0;
+  for (const Key& k : inst) finite += k != Key::infinite() ? 1 : 0;
   GQ_REQUIRE(finite >= 1, "token split needs at least one valued node");
   GQ_REQUIRE(multiplier * finite <= 4ull * n / 5 + 1,
              "token count must leave >= n/5 nodes free for scattering");
@@ -442,7 +436,7 @@ TokenSplitResult token_split_distribute(Engine& engine,
         for (std::uint32_t v = begin; v < end; ++v) {
           held.clear_node(v);
           heavy_node[v] = 0;
-          if (inst[v].is_finite()) {
+          if (inst[v] != Key::infinite()) {
             held.push_back(v, Token{inst[v], multiplier});
             if (mint_heavy) {
               heavy_node[v] = 1;
@@ -615,11 +609,19 @@ struct EngineExactOps {
                               const ApproxQuantileParams& params) {
     return approx_quantile_keys(engine, keys, params);
   }
+  MultiQuantileResult multi(std::span<const Key> keys,
+                            const MultiQuantileParams& params) {
+    return multi_quantile_keys(engine, keys, params);
+  }
   SpreadResult spread_min_keys(std::span<const Key> init) {
     return spread_min(engine, init);
   }
   SpreadResult spread_max_keys(std::span<const Key> init) {
     return spread_max(engine, init);
+  }
+  GenericSpreadResult<MinMaxKeys> spread_min_max_keys(
+      std::vector<Key> min_init, std::vector<Key> max_init) {
+    return spread_min_max(engine, std::move(min_init), std::move(max_init));
   }
   CountResult count(const std::vector<bool>& indicator) {
     return gossip_count(engine, indicator);

@@ -55,6 +55,9 @@ namespace gq {
 [[nodiscard]] SpreadResult spread_max(Engine& engine,
                                       std::span<const Key> init,
                                       std::uint64_t max_rounds = 0);
+[[nodiscard]] GenericSpreadResult<MinMaxKeys> spread_min_max(
+    Engine& engine, std::vector<Key> min_init, std::vector<Key> max_init,
+    std::uint64_t max_rounds = 0);
 
 // Exact push-sum counting; see agg/rank_count.hpp.
 [[nodiscard]] CountResult gossip_count(Engine& engine,

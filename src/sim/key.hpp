@@ -29,22 +29,20 @@ struct Key {
   friend constexpr auto operator<=>(const Key&, const Key&) = default;
 
   // The "valueless" marker of Algorithm 3 Step 6: compares above every real
-  // payload (x_v <- infinity in the paper).
+  // payload (x_v <- infinity in the paper).  A genuine +inf input is a real
+  // payload that sorts below it, so "has a value" is `key != infinite()`,
+  // never a test of the double.
   [[nodiscard]] static constexpr Key infinite() noexcept {
     return Key{std::numeric_limits<double>::infinity(),
                std::numeric_limits<std::uint32_t>::max(),
                std::numeric_limits<std::uint64_t>::max()};
   }
 
-  // Sentinel comparing below every real payload (used when spreading a
-  // maximum over nodes that have no contribution).
+  // Sentinel comparing at or below every real payload (used when spreading
+  // a maximum over nodes that have no contribution).  It equals node 0's
+  // key for a genuine -inf input, the smallest key a network can hold.
   [[nodiscard]] static constexpr Key neg_infinite() noexcept {
     return Key{-std::numeric_limits<double>::infinity(), 0, 0};
-  }
-
-  [[nodiscard]] constexpr bool is_finite() const noexcept {
-    return value != std::numeric_limits<double>::infinity() &&
-           value != -std::numeric_limits<double>::infinity();
   }
 
   // Two keys carry the same application value (ignoring duplication tags).

@@ -11,10 +11,11 @@
 
 namespace gq {
 
-// Keys: 2-bit kind tag (finite / +inf / -inf), 64-bit value, ceil(lg n)-bit
-// node id, and a duplication tag encoded as (iteration, node) with 8 bits
-// of iteration — everything the exact algorithm ever generates, in
-// O(log n) bits total.
+// Keys: 2-bit kind tag (value / Key::infinite() / Key::neg_infinite()),
+// 64-bit value, ceil(lg n)-bit node id, and a duplication tag encoded as
+// (iteration, node) with 8 bits of iteration — everything the exact
+// algorithm ever generates, in O(log n) bits total.  Only the two sentinels
+// get kinds: a genuine +/-inf input is a value and travels as one.
 class KeyCodec {
  public:
   explicit KeyCodec(std::uint32_t n) : n_(n), id_bits_(field_width(n)) {
@@ -26,7 +27,7 @@ class KeyCodec {
   }
 
   void encode(const Key& k, BitWriter& w) const {
-    if (!k.is_finite()) {
+    if (k == Key::infinite() || k == Key::neg_infinite()) {
       w.write_bits(k == Key::infinite() ? 1 : 2, 2);
       return;
     }

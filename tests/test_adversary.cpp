@@ -20,6 +20,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -218,6 +220,71 @@ TEST(AdversaryDifferential, ExactPipelineAbortsIdenticallyUnderAdversary) {
       EXPECT_EQ(e.kind(), seq_kind) << "threads=" << threads;
     }
     EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
+  }
+}
+
+// One exact run's outcome: its answer or its typed abort, and the
+// executor's Metrics either way.
+struct ExactRun {
+  std::optional<ExactQuantileResult> result;
+  std::optional<ExactPipelineError> error;
+  Metrics metrics;
+};
+
+template <typename Executor>
+ExactRun run_exact(Executor& executor, std::span<const double> values,
+                   const ExactQuantileParams& params) {
+  ExactRun out;
+  try {
+    out.result = exact_quantile(executor, values, params);
+  } catch (const ExactPipelineError& e) {
+    out.error = e;
+  }
+  out.metrics = executor.metrics();
+  return out;
+}
+
+// Golden transcripts of the exact pipeline's adversarial route.  With an
+// adversary installed multi_quantile runs the brackets one after the other,
+// so these constants pin that route to the bit, whatever the failure-free
+// iterations do: a 64-node eclipse aborts in the endgame at a fixed round,
+// and an installed zero-budget eclipse answers on the robust route.
+TEST(AdversaryDifferential, ExactPipelineKeepsGoldenTranscripts) {
+  constexpr std::uint32_t kN = 2048;
+  constexpr std::uint64_t kSeed = 821;
+  const auto values = generate_values(Distribution::kExponential, kN, 67);
+  ExactQuantileParams params;
+  params.phi = 0.5;
+
+  for (const unsigned threads : {0u, 1u, 2u, 8u}) {  // 0: the Network
+    const auto run = [&](std::uint32_t budget) {
+      EclipseAdversary eclipse(64, budget);
+      if (threads == 0) {
+        Network net(kN, kSeed);
+        net.set_adversary(&eclipse);
+        return run_exact(net, values, params);
+      }
+      Engine engine(kN, kSeed, FailureModel{}, config_for(threads));
+      engine.set_adversary(&eclipse);
+      return run_exact(engine, values, params);
+    };
+
+    const ExactRun eclipsed = run(64);
+    ASSERT_TRUE(eclipsed.error.has_value()) << "threads=" << threads;
+    EXPECT_EQ(eclipsed.error->kind(),
+              ExactPipelineError::Kind::kEndgameNoCandidates);
+    EXPECT_EQ(eclipsed.error->context().round, 1190u);
+    EXPECT_EQ(eclipsed.metrics.rounds, 1190u) << "threads=" << threads;
+    EXPECT_EQ(eclipsed.metrics.messages, 2307392u);
+    EXPECT_EQ(eclipsed.metrics.message_bits, 233834240u);
+    EXPECT_EQ(eclipsed.metrics.failed_operations, 75987u);
+
+    const ExactRun idle = run(0);
+    ASSERT_TRUE(idle.result.has_value()) << "threads=" << threads;
+    EXPECT_EQ(idle.result->answer, (Key{0.7065872217352811, 158, 0}));
+    EXPECT_EQ(idle.result->rounds, 1661u) << "threads=" << threads;
+    EXPECT_EQ(idle.metrics.messages, 3373056u);
+    EXPECT_EQ(idle.metrics.message_bits, 391262208u);
   }
 }
 

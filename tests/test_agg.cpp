@@ -139,6 +139,50 @@ TEST(Spread, ZeroRoundsWhenAlreadyUniform) {
   EXPECT_EQ(r.rounds, 0u);
 }
 
+// The two-lane spread: both lanes ride the same pulls, so each lane
+// evolves exactly like its one-lane spread on a fresh network with the same
+// seed, and the pair costs the slower lane's rounds.
+TEST(Spread, MinMaxLanesMatchTheirOneLaneSpreads) {
+  constexpr std::uint32_t kN = 512;
+  const auto lo = make_keys(generate_values(Distribution::kGaussian, kN, 4));
+  const auto hi =
+      make_keys(generate_values(Distribution::kUniformReal, kN, 5));
+  for (const double mu : {0.0, 0.25}) {
+    const FailureModel fm = mu > 0.0 ? FailureModel::uniform(mu)
+                                     : FailureModel{};
+    Network min_net(kN, 7, fm), max_net(kN, 7, fm), net(kN, 7, fm);
+    const SpreadResult s_min = spread_min(min_net, lo);
+    const SpreadResult s_max = spread_max(max_net, hi);
+    const auto both = spread_min_max(net, lo, hi);
+    ASSERT_TRUE(s_min.converged && s_max.converged);
+    EXPECT_TRUE(both.converged);
+    EXPECT_EQ(both.rounds, std::max(s_min.rounds, s_max.rounds))
+        << "mu=" << mu;
+    for (std::uint32_t v = 0; v < kN; ++v) {
+      EXPECT_EQ(both.values[v].min, s_min.values.front());
+      EXPECT_EQ(both.values[v].max, s_max.values.front());
+    }
+    // Every pull carries both lanes.
+    EXPECT_EQ(net.metrics().rounds, both.rounds);
+    EXPECT_EQ(net.metrics().message_bits,
+              net.metrics().messages * 2 * key_bits(kN));
+    if (mu == 0.0) {
+      EXPECT_EQ(net.metrics().messages, both.rounds * kN);
+    }
+  }
+}
+
+TEST(Spread, MinMaxCostsNothingWhenLanesAgree) {
+  constexpr std::uint32_t kN = 64;
+  Network net(kN, 1);
+  const auto both = spread_min_max(net, std::vector<Key>(kN, Key{1.0, 3, 0}),
+                                   std::vector<Key>(kN, Key{2.0, 5, 0}));
+  EXPECT_TRUE(both.converged);
+  EXPECT_EQ(both.rounds, 0u);
+  EXPECT_EQ(net.metrics().rounds, 0u);
+  EXPECT_EQ(net.metrics().messages, 0u);
+}
+
 TEST(GossipCount, ExactOnAllNodes) {
   constexpr std::uint32_t kN = 300;
   Network net(kN, 29);

@@ -420,6 +420,36 @@ TEST(EngineCollectives, SpreadMatchesCore) {
   }
 }
 
+// The exact pipeline's two-lane bracket spread: one pull sequence carries
+// the min and max lanes and stops once both agree everywhere.
+TEST(EngineCollectives, SpreadMinMaxMatchesCore) {
+  constexpr std::uint32_t kN = 2000;
+  constexpr std::uint64_t kSeed = 303;
+  const auto lo =
+      make_keys(generate_values(Distribution::kGaussian, kN, 14));
+  const auto hi =
+      make_keys(generate_values(Distribution::kExponential, kN, 15));
+
+  for (const bool with_failures : {false, true}) {
+    const FailureModel fm =
+        with_failures ? FailureModel::uniform(0.25) : FailureModel{};
+    Network net(kN, kSeed, fm);
+    const auto seq = spread_min_max(net, lo, hi);
+    ASSERT_TRUE(seq.converged);
+
+    for (unsigned threads : kThreadCounts) {
+      Engine engine(kN, kSeed, fm, config_for(threads));
+      const auto par = spread_min_max(engine, lo, hi);
+      EXPECT_EQ(par.values, seq.values)
+          << "threads=" << threads << " failures=" << with_failures;
+      EXPECT_EQ(par.rounds, seq.rounds);
+      EXPECT_EQ(par.converged, seq.converged);
+      EXPECT_EQ(engine.metrics(), net.metrics())
+          << "threads=" << threads << " failures=" << with_failures;
+    }
+  }
+}
+
 TEST(EngineCollectives, GossipCountMatchesCore) {
   constexpr std::uint32_t kN = 1500;
   constexpr std::uint64_t kSeed = 303;
@@ -593,9 +623,11 @@ TEST(EnginePipelines, ExactQuantileMatchesCore) {
       EXPECT_EQ(par.iterations, seq.iterations);
       EXPECT_EQ(par.endgame_phases, seq.endgame_phases);
       EXPECT_EQ(par.rounds, seq.rounds);
+      EXPECT_EQ(par.round_breakdown, seq.round_breakdown);
       EXPECT_EQ(engine.metrics(), net.metrics())
           << "threads=" << threads << " phi=" << phi;
     }
+    EXPECT_EQ(seq.round_breakdown.total(), seq.rounds) << "phi=" << phi;
   }
 }
 
@@ -621,8 +653,11 @@ TEST(EnginePipelines, ExactDuplicationRouteMatchesCore) {
     EXPECT_EQ(par.iterations, seq.iterations);
     EXPECT_EQ(par.endgame_phases, seq.endgame_phases);
     EXPECT_EQ(par.rounds, seq.rounds);
+    EXPECT_EQ(par.round_breakdown, seq.round_breakdown);
     EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
   }
+  EXPECT_EQ(seq.round_breakdown.total(), seq.rounds);
+  EXPECT_GT(seq.round_breakdown.token_split, 0u);
 }
 
 TEST(EnginePipelines, OwnRankMatchesCore) {

@@ -279,6 +279,40 @@ TEST(EngineRobustPipelinesFallback, ExactQuantileUnderFailuresMatchesCore) {
   }
 }
 
+// Golden transcript of the exact pipeline's failure-model route.  Under a
+// failure model multi_quantile runs the two brackets one after the other
+// and each extreme spreads alone, so these constants pin that route's
+// rounds, traffic and answer to the bit on both executors, whatever the
+// failure-free iterations do.
+TEST(EngineRobustPipelinesFallback, ExactUnderFailuresKeepsGoldenTranscript) {
+  constexpr std::uint32_t kN = 2048;
+  constexpr std::uint64_t kSeed = 812;
+  const auto values = generate_values(Distribution::kExponential, kN, 67);
+  const FailureModel fm = FailureModel::uniform(0.25);
+  ExactQuantileParams params;
+  params.phi = 0.5;
+
+  const auto check = [&](const ExactQuantileResult& r, const Metrics& m,
+                         const char* where) {
+    EXPECT_EQ(r.answer, (Key{0.7065872217352811, 158, 0})) << where;
+    EXPECT_EQ(r.iterations, 1u) << where;
+    EXPECT_EQ(r.endgame_phases, 14u) << where;
+    EXPECT_EQ(r.rounds, 2489u) << where;
+    EXPECT_EQ(r.round_breakdown.total(), r.rounds) << where;
+    EXPECT_EQ(m.rounds, 2489u) << where;
+    EXPECT_EQ(m.messages, 3796892u) << where;
+    EXPECT_EQ(m.message_bits, 442189524u) << where;
+    EXPECT_EQ(m.failed_operations, 1268347u) << where;
+  };
+  Network net(kN, kSeed, fm);
+  check(exact_quantile(net, values, params), net.metrics(), "network");
+  for (unsigned threads : kThreadCounts) {
+    Engine engine(kN, kSeed, fm, config_for(threads));
+    check(exact_quantile(engine, values, params), engine.metrics(),
+          threads == 1 ? "engine/1" : threads == 2 ? "engine/2" : "engine/8");
+  }
+}
+
 // own_rank composes approx runs and folds their valid masks into its own;
 // under a failure model every inner run is a robust one and partially
 // served runs must poison exactly the same estimates on both executors.

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 #include <vector>
 
 #include "analysis/rank_stats.hpp"
 #include "core/exact_quantile.hpp"
+#include "engine/pipelines.hpp"
 #include "workload/distributions.hpp"
 #include "workload/tiebreak.hpp"
 
@@ -161,6 +163,72 @@ TEST(ExactQuantile, RoundsRecordedInMetrics) {
   const auto r = exact_quantile(net, values, params);
   EXPECT_EQ(r.rounds, net.metrics().rounds);
   EXPECT_GT(r.rounds, 0u);
+}
+
+// Genuine +/-inf inputs are values, not the Step-6 valueless marker: the
+// answer must be exact on both executors even when it is one of them
+// (phi = 0 lands on -inf, phi = 1 on +inf).  Both layouts put infinities
+// of one sign at i = 0 (mod 5) and of the other at the remaining
+// i = 0 (mod 7), so node 0 holds -inf in the second one: its key is the
+// low sentinel itself.
+TEST(ExactQuantile, InfiniteInputsAreValuesOnBothExecutors) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::uint32_t n : {2u, 97u, 1024u, 4096u}) {
+    for (const double sign : {1.0, -1.0}) {
+      std::vector<double> values =
+          generate_values(Distribution::kUniformReal, n, 61 + n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (i % 5 == 0) {
+          values[i] = sign * inf;
+        } else if (i % 7 == 0) {
+          values[i] = -sign * inf;
+        }
+      }
+      const RankScale scale(make_keys(values));
+      for (const double phi : {0.0, 1e-9, 0.5, 0.999, 1.0}) {
+        ExactQuantileParams params;
+        params.phi = phi;
+        Network net(n, 89);
+        const ExactQuantileResult seq = exact_quantile(net, values, params);
+        Engine engine(n, 89, FailureModel{},
+                      EngineConfig{.threads = 2, .shard_size = 192});
+        const ExactQuantileResult par =
+            exact_quantile(engine, values, params);
+        const Key want = scale.exact_quantile(phi);
+        EXPECT_EQ(seq.answer, want)
+            << "n=" << n << " sign=" << sign << " phi=" << phi;
+        EXPECT_EQ(par.answer, want)
+            << "n=" << n << " sign=" << sign << " phi=" << phi;
+        EXPECT_EQ(par.rounds, seq.rounds);
+        EXPECT_EQ(engine.metrics(), net.metrics());
+      }
+    }
+  }
+}
+
+TEST(ExactQuantile, RoundBreakdownSumsToRounds) {
+  constexpr std::uint32_t kN = 4096;
+  const auto values = generate_values(Distribution::kUniformReal, kN, 67);
+  for (const ExactStrategy strategy :
+       {ExactStrategy::kAuto, ExactStrategy::kPreferDuplication,
+        ExactStrategy::kPreferEndgame}) {
+    Network net(kN, 91);
+    ExactQuantileParams params;
+    params.phi = 0.3;
+    params.strategy = strategy;
+    const ExactQuantileResult r = exact_quantile(net, values, params);
+    const ExactRoundBreakdown& b = r.round_breakdown;
+    EXPECT_EQ(b.total(), r.rounds);
+    EXPECT_EQ(r.rounds, net.metrics().rounds);
+    EXPECT_GT(b.brackets, 0u);
+    EXPECT_GT(b.spreads, 0u);
+    EXPECT_GT(b.counts, 0u);
+    EXPECT_GT(b.verification, 0u);
+    if (strategy == ExactStrategy::kPreferEndgame) {
+      EXPECT_GT(b.endgame, 0u);
+      EXPECT_EQ(b.token_split, 0u);
+    }
+  }
 }
 
 TEST(ExactQuantile, RejectsInvalidPhi) {

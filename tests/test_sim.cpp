@@ -16,6 +16,7 @@
 #include "sim/key_intern.hpp"
 #include "sim/network.hpp"
 #include "sim/trace.hpp"
+#include "workload/tiebreak.hpp"
 
 namespace gq {
 namespace {
@@ -36,9 +37,15 @@ TEST(Key, InfiniteSentinelsBracketEverything) {
   const Key mid{1e300, 4000000000u, 9};
   EXPECT_LT(mid, Key::infinite());
   EXPECT_LT(Key::neg_infinite(), mid);
-  EXPECT_FALSE(Key::infinite().is_finite());
-  EXPECT_FALSE(Key::neg_infinite().is_finite());
-  EXPECT_TRUE(mid.is_finite());
+  // Genuine +/-inf inputs are values, not sentinels: +inf keys sort below
+  // the valueless marker, and only node 0's -inf key meets the low sentinel.
+  const std::vector<Key> keys = make_keys(std::vector<double>{
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()});
+  EXPECT_EQ(keys[0], Key::neg_infinite());
+  EXPECT_LT(keys[1], Key::infinite());
+  EXPECT_LT(Key::neg_infinite(), keys[2]);
 }
 
 TEST(KeyBits, GrowsLogarithmically) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "sim/key.hpp"
@@ -96,6 +97,23 @@ TEST(KeyCodecTest, RoundTripsSentinels) {
   BitReader r(w.bytes());
   EXPECT_EQ(codec.decode(r), Key::infinite());
   EXPECT_EQ(codec.decode(r), Key::neg_infinite());
+}
+
+// Only the two sentinels travel as short kinds: a genuine +/-inf input is a
+// value and keeps its id and tag across the wire.  (Node 0's -inf key is
+// the low sentinel itself, so either encoding decodes to the same key.)
+TEST(KeyCodecTest, RoundTripsInfiniteValuedKeys) {
+  constexpr std::uint32_t kN = 1024;
+  const KeyCodec codec(kN);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Key> keys = {
+      {inf, 0, 0},   {inf, 17, 0},   {inf, kN - 1, (5ull << 32) | 700},
+      {-inf, 0, 0},  {-inf, 3, 0},   {-inf, 512, (2ull << 32) | 9},
+      Key::infinite(), Key::neg_infinite()};
+  BitWriter w;
+  for (const Key& k : keys) codec.encode(k, w);
+  BitReader r(w.bytes());
+  for (const Key& k : keys) EXPECT_EQ(codec.decode(r), k);
 }
 
 TEST(KeyCodecTest, EncodedSizeIsLogarithmicAndWithinAccounting) {
