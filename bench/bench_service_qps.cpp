@@ -201,7 +201,10 @@ int main() {
       "long-lived sessions amortise engine construction and the interned "
       "instance across queries; batched probes share diffusions");
 
-  const std::uint32_t n = bench::smoke_capped(1u << 16, 2000);
+  // The smoke size keeps eps 0.1 above eps_tournament_floor(n) (about 0.099
+  // at 8192), so smoke quantile queries run the tournaments the full-scale
+  // rows run, not the exact fallback.
+  const std::uint32_t n = bench::smoke_capped(1u << 16, 8192);
   const auto queries = bench::scaled_trials(bench::smoke_mode() ? 6 : 40);
 
   for (unsigned threads : bench::thread_sweep(kThreadSweep)) {

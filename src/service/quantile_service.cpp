@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -52,8 +53,9 @@ std::uint32_t QuantileService::join() {
   const auto id = static_cast<std::uint32_t>(streams_.size());
   streams_.push_back(std::make_unique<Stream>(
       cfg_.sketch_k, derive_seed(derive_seed(cfg_.seed, kSummaryStream), id)));
+  touched_mark_.push_back(false);
   ++live_;
-  dirty_ = true;
+  membership_changed_ = true;
   return id;
 }
 
@@ -61,7 +63,7 @@ void QuantileService::leave(std::uint32_t node) {
   (void)live_stream(node);  // validates live
   streams_[node].reset();
   --live_;
-  dirty_ = true;
+  membership_changed_ = true;
 }
 
 QuantileService::Stream& QuantileService::live_stream(std::uint32_t node) {
@@ -70,11 +72,24 @@ QuantileService::Stream& QuantileService::live_stream(std::uint32_t node) {
   return *streams_[node];
 }
 
+// The live stream about to take `node`'s next values, recorded against the
+// open epoch: a first value makes the node a new contributor, a later one
+// marks it touched (once per epoch).
+QuantileService::Stream& QuantileService::ingest_target(std::uint32_t node) {
+  Stream& stream = live_stream(node);
+  if (stream.empty()) {
+    membership_changed_ = true;
+  } else if (!touched_mark_[node]) {
+    touched_mark_[node] = true;
+    touched_.push_back(node);
+  }
+  return stream;
+}
+
 void QuantileService::ingest(std::uint32_t node, double value) {
   GQ_REQUIRE(!std::isnan(value), "ingested values must not be NaN");
-  live_stream(node).ingest(value);
+  ingest_target(node).ingest(value);
   ++ingested_;
-  dirty_ = true;
 }
 
 void QuantileService::ingest(std::uint32_t node,
@@ -84,24 +99,47 @@ void QuantileService::ingest(std::uint32_t node,
   GQ_REQUIRE(std::none_of(values.begin(), values.end(),
                           [](double x) { return std::isnan(x); }),
              "ingested values must not be NaN");
-  live_stream(node).ingest(values);
+  if (values.empty()) {
+    (void)live_stream(node);  // validates the id; nothing to seal
+    return;
+  }
+  ingest_target(node).ingest(values);
   ingested_ += values.size();
-  dirty_ = true;
 }
 
-void QuantileService::build_instance() {
+void QuantileService::build_instance(bool every_slot) {
   GQ_SPAN("service/build_instance");
+  // Under kLocalQuantile every contributor derives its representative from
+  // its own summary; re-id by contributor slot restores cross-node
+  // distinctness.
+  const auto representative = [&](std::uint32_t slot) {
+    const Key local =
+        streams_[contributors_[slot]]->local_quantile(cfg_.local_phi);
+    return Key{local.value, slot, 0};
+  };
+  changed_slots_.clear();
+  if (!every_slot) {
+    // kLocalQuantile over an unchanged contributor set: only the touched
+    // nodes' keys can move, and only moved keys reach the session.
+    for (const std::uint32_t node : touched_) {
+      const auto slot = static_cast<std::uint32_t>(
+          std::lower_bound(contributors_.begin(), contributors_.end(), node) -
+          contributors_.begin());
+      const Key key = representative(slot);
+      if (key != instance_[slot]) {
+        instance_[slot] = key;
+        changed_slots_.push_back(slot);
+      }
+    }
+    return;
+  }
   const auto m = static_cast<std::uint32_t>(contributors_.size());
   instance_.resize(m);
+  changed_slots_.resize(m);
+  std::iota(changed_slots_.begin(), changed_slots_.end(), 0u);
   switch (cfg_.instance_policy) {
     case InstancePolicy::kLocalQuantile:
-      // Every contributor derives its representative from its own summary;
-      // re-id by contributor slot restores cross-node distinctness.
-      for (std::uint32_t i = 0; i < m; ++i) {
-        const Key local =
-            streams_[contributors_[i]]->local_quantile(cfg_.local_phi);
-        instance_[i] = Key{local.value, i, 0};
-      }
+      for (std::uint32_t i = 0; i < m; ++i) instance_[i] = representative(i);
       return;
     case InstancePolicy::kGlobalResample: {
       // Merge all summaries (ascending contributor order, fixed seed — a
@@ -122,17 +160,26 @@ void QuantileService::build_instance() {
 }
 
 std::uint64_t QuantileService::seal() {
-  if (!dirty_ && engine_ != nullptr) return epoch_;
+  if (!membership_changed_ && touched_.empty()) return epoch_;
   GQ_SPAN("service/seal");
-  contributors_.clear();
-  for (std::uint32_t id = 0; id < streams_.size(); ++id) {
-    if (streams_[id] != nullptr && !streams_[id]->empty()) {
-      contributors_.push_back(id);
+  // A membership change renumbers the slots, and a kGlobalResample slot
+  // depends on every stream: both recompute every slot.  Otherwise only
+  // the touched nodes' slots can have moved.
+  const bool every_slot =
+      membership_changed_ ||
+      cfg_.instance_policy == InstancePolicy::kGlobalResample;
+  if (every_slot) {
+    contributors_.clear();
+    for (std::uint32_t id = 0; id < streams_.size(); ++id) {
+      if (streams_[id] != nullptr && !streams_[id]->empty()) {
+        contributors_.push_back(id);
+      }
     }
+    GQ_REQUIRE(contributors_.size() >= 2,
+               "sealing an epoch needs >= 2 nodes holding data");
   }
   const auto m = static_cast<std::uint32_t>(contributors_.size());
-  GQ_REQUIRE(m >= 2, "sealing an epoch needs >= 2 nodes holding data");
-  build_instance();
+  build_instance(every_slot);
   // Membership-size changes re-shard: shard geometry is fixed per Engine,
   // so a new m gets a new engine (thread pool and arenas respawn once per
   // churn event, not per query).
@@ -145,9 +192,18 @@ std::uint64_t QuantileService::seal() {
   // starts bare, and per-query reset_stream rebinds the strategy onto each
   // query's stream seed.
   if (cfg_.adversary != nullptr) engine_->set_adversary(cfg_.adversary);
-  session_.update(instance_, cfg_.session_compact_factor);
-  build_degraded_summary();
-  dirty_ = false;
+  session_.update(instance_, changed_slots_, cfg_.session_compact_factor);
+  seal_recomputed_slots_ += every_slot ? m : touched_.size();
+  for (const std::uint32_t node : touched_) touched_mark_[node] = false;
+  touched_.clear();
+  membership_changed_ = false;
+  // kGlobalResample's summary merges the live streams, which change after
+  // the seal, so it is built now; kLocalQuantile's is built from the frozen
+  // instance by the epoch's first degraded reply.
+  degraded_summary_.reset();
+  if (cfg_.instance_policy == InstancePolicy::kGlobalResample) {
+    build_degraded_summary();
+  }
   return ++epoch_;
 }
 
@@ -328,7 +384,8 @@ QueryReply QuantileService::degraded_reply(const QueryRequest& request,
                                            std::uint64_t seed,
                                            std::uint32_t attempts_spent) {
   GQ_SPAN("service/degraded");
-  GQ_REQUIRE(degraded_summary_ != nullptr && !degraded_summary_->empty(),
+  if (degraded_summary_ == nullptr) build_degraded_summary();
+  GQ_REQUIRE(!degraded_summary_->empty(),
              "degraded path needs a sealed epoch summary");
   ++degraded_answers_;
   const KllSketch& summary = *degraded_summary_;
@@ -603,6 +660,7 @@ ServiceStats QuantileService::stats() const {
   s.session_reuse_hits = session_.reuse_hits();
   s.engine_rebuilds = engine_rebuilds_;
   s.gossip_rounds = engine_ != nullptr ? engine_->metrics().rounds : 0;
+  s.seal_recomputed_slots = seal_recomputed_slots_;
   s.retry_attempts = retry_attempts_;
   s.degraded_answers = degraded_answers_;
   s.breaker_opens = breaker_opens_;
@@ -647,6 +705,9 @@ std::string QuantileService::prometheus_text() const {
      << "gq_service_live_nodes " << s.live_nodes << "\n"
      << "# TYPE gq_service_gossip_rounds_total counter\n"
      << "gq_service_gossip_rounds_total " << s.gossip_rounds << "\n"
+     << "# TYPE gq_service_seal_recomputed_slots_total counter\n"
+     << "gq_service_seal_recomputed_slots_total " << s.seal_recomputed_slots
+     << "\n"
      << "# TYPE gq_service_retry_attempts_total counter\n"
      << "gq_service_retry_attempts_total " << s.retry_attempts << "\n"
      << "# TYPE gq_service_degraded_answers_total counter\n"

@@ -18,7 +18,22 @@
 // observe a *sealed* one.  The first query after any mutation seals
 // implicitly (or call seal() for an explicit barrier); all queries of one
 // query_batch observe the same epoch.  Within an epoch, queries are
-// repeatable: the instance, session, and membership are frozen.
+// repeatable: the instance, session, and membership are frozen.  A
+// zero-length ingest batch is not a mutation and opens no epoch.
+//
+// What a seal costs.  ingest() records each node it touches, once per
+// epoch.  Under kLocalQuantile a node's key depends on its own stream alone,
+// so while the contributor set stands (no join, no leave, no first ingest
+// into an empty stream) a seal recomputes only the touched nodes' slots —
+// contributors are ascending, so a node's slot is a binary search away —
+// and hands the session just the slots whose key moved (EpochSession's
+// slot-targeted update): O(touched) summary quantiles plus O(touched log d)
+// searches and linear passes over the session table (d keys) and lanes
+// (m).  A membership change renumbers the slots and every kGlobalResample
+// slot depends on every stream, so those seals recompute all m slots and
+// pay the full-scan session update.  Either way the sealed instance,
+// session and replies are exactly those of a full rebuild;
+// ServiceStats::seal_recomputed_slots counts the slots seals recomputed.
 //
 // ## Determinism and warm == cold
 //
@@ -50,8 +65,11 @@
 // attempt succeeds is bit-identical to the pre-supervision service (and to
 // a cold one-shot run).  When the budget is exhausted the service *degrades
 // instead of throwing*: the reply is answered from the sealed epoch's
-// merged summary sketch (built at seal time, rank error <= the sketch's
-// bound), tagged AnswerQuality::kDegraded with the bound in error_bound.
+// merged summary sketch (rank error <= the sketch's bound), tagged
+// AnswerQuality::kDegraded with the bound in error_bound.  Under
+// kLocalQuantile that sketch is built from the frozen instance on the
+// epoch's first degraded reply; under kGlobalResample it merges the live
+// streams, which keep changing after the seal, so the seal builds it.
 //
 // A per-QueryKind circuit breaker sits in front of the supervisor: after
 // `breaker.open_after` consecutive exhausted queries of one kind the
@@ -104,6 +122,9 @@ struct ServiceStats {
   std::uint64_t session_reuse_hits = 0;  // seals with zero new keys
   std::uint64_t engine_rebuilds = 0;   // membership-change reconstructions
   std::uint64_t gossip_rounds = 0;     // engine rounds across all queries
+  // Instance slots recomputed by seals: a trickle seal adds its touched
+  // nodes, a membership change or kGlobalResample seal adds m.
+  std::uint64_t seal_recomputed_slots = 0;
 
   // Resilience counters (see "Resilience" below).
   std::uint64_t retry_attempts = 0;    // supervised attempts beyond the first
@@ -131,8 +152,9 @@ class QuantileService {
   // ---- epoch barrier -----------------------------------------------------
 
   // Seals the open epoch (no-op when nothing changed): freezes membership,
-  // rebuilds the instance, updates the interned session, re-shards the
-  // engine if membership size changed.  Returns the sealed epoch number.
+  // recomputes the instance slots that may have changed (see "What a seal
+  // costs"), updates the interned session, re-shards the engine if
+  // membership size changed.  Returns the sealed epoch number.
   std::uint64_t seal();
 
   // ---- queries (always observe the latest sealed epoch) ------------------
@@ -146,6 +168,11 @@ class QuantileService {
   // The sealed instance (key i belongs to contributor slot i).  Valid until
   // the next seal; requires at least one seal.
   [[nodiscard]] std::span<const Key> epoch_keys() const;
+
+  // The interned session encoding the sealed instance.
+  [[nodiscard]] const EpochSession& session() const noexcept {
+    return session_;
+  }
 
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] std::uint32_t live_nodes() const noexcept { return live_; }
@@ -180,7 +207,8 @@ class QuantileService {
   };
 
   [[nodiscard]] Stream& live_stream(std::uint32_t node);
-  void build_instance();
+  [[nodiscard]] Stream& ingest_target(std::uint32_t node);
+  void build_instance(bool every_slot);
   void build_degraded_summary();
   [[nodiscard]] std::uint64_t next_query_seed(const QueryRequest& request);
   void prepare_engine(std::uint64_t seed);
@@ -210,7 +238,13 @@ class QuantileService {
   std::vector<Key> instance_;                // one key per contributor
   EpochSession session_;
   std::unique_ptr<Engine> engine_;
-  bool dirty_ = true;        // open-epoch mutations pending
+  // Open-epoch mutations: a contributor-set change, and the nodes ingested
+  // into (each once; touched_mark_ is indexed by node id).
+  bool membership_changed_ = true;
+  std::vector<std::uint32_t> touched_;
+  std::vector<bool> touched_mark_;
+  std::vector<std::uint32_t> changed_slots_;  // seal scratch: moved keys
+  std::uint64_t seal_recomputed_slots_ = 0;
   std::uint64_t epoch_ = 0;  // sealed epoch counter
   std::uint64_t query_seq_ = 0;
   std::uint64_t queries_ = 0;
@@ -221,7 +255,7 @@ class QuantileService {
 
   // Resilience state: the epoch's merged summary (degraded answers), the
   // per-kind breakers, and the lifetime counters surfaced via stats().
-  std::unique_ptr<KllSketch> degraded_summary_;  // rebuilt at every seal
+  std::unique_ptr<KllSketch> degraded_summary_;  // null until built
   std::array<Breaker, 5> breakers_;              // indexed by QueryKind
   std::uint64_t retry_attempts_ = 0;
   std::uint64_t degraded_answers_ = 0;

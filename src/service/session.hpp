@@ -5,13 +5,24 @@
 // session keeps that instance interned — a sorted distinct-key table plus a
 // 32-bit rank lane per node (sim/key_intern.hpp) — and maintains it
 // *incrementally* across epochs: keys that appeared this epoch are merged
-// into the existing table (KeyInterner::extend) instead of re-sorting the
-// whole instance, so a steady-traffic epoch advance costs O(m log d)
-// binary searches rather than an O(m log m) sort.  Keys retired by an
-// epoch stay in the table as stale-but-harmless entries (rank order is
-// still key order; see key_intern.hpp); once the table outgrows the
-// instance by the configured factor, the next update compacts it with one
-// full re-intern.
+// into the existing table instead of re-sorting the whole instance.  Keys
+// retired by an epoch stay in the table as stale-but-harmless entries (rank
+// order is still key order; see key_intern.hpp); once the table outgrows
+// the instance by the configured factor, the next update compacts it with
+// one full re-intern.
+//
+// What an update costs, for m slots, a table of d keys and c changed slots:
+//   * update(instance, factor) scans the whole instance: m binary searches
+//     to find the new keys, a merge, then m more to re-rank every lane —
+//     O(m log d).  It is what an update that changes every slot runs (the
+//     first one, a membership change, a kGlobalResample epoch).
+//   * update(instance, changed, factor) trusts the caller's list of slots
+//     whose key moved: c binary searches find the new keys, the merge
+//     re-ranks every other lane through one old -> new rank map
+//     (KeyInterner::extend_remap), and c more searches place the changed
+//     lanes — O(c log d + d + m), and O(c log d) when no key is new.  A
+//     trickle epoch of the service (a few nodes ingested) runs this one.
+// Both leave the same table, lanes and counters.
 //
 // The session is what makes warm queries cheap twice over:
 //   * engine hand-off — adopt_intern_session seeds the kernels' verify-
@@ -38,6 +49,14 @@ class EpochSession {
   // call, lanes()/table() encode exactly `instance`.
   void update(std::span<const Key> instance, std::uint32_t compact_factor);
 
+  // The same update for an instance that differs from the previous one only
+  // at the distinct slots in `changed`, listed in any order.  An update
+  // that lists every slot (required for the first update and for any
+  // change of instance size) is the full scan above.
+  void update(std::span<const Key> instance,
+              std::span<const std::uint32_t> changed,
+              std::uint32_t compact_factor);
+
   [[nodiscard]] std::span<const Key> table() const noexcept {
     return interner_.table();
   }
@@ -56,6 +75,11 @@ class EpochSession {
   }
 
  private:
+  // Full re-intern when the session is cold or the table has outgrown the
+  // instance; returns whether it ran.
+  bool rebuild_if_due(std::span<const Key> instance,
+                      std::uint32_t compact_factor);
+
   KeyInterner interner_;
   std::vector<std::uint32_t> lanes_;
   std::vector<Key> added_;  // per-update scratch: keys new to the table

@@ -38,10 +38,14 @@
 // re-sorting all n keys when an epoch appends a few new distinct keys, the
 // newly appeared keys are merged into the existing sorted table and every
 // lane is re-ranked by binary search — O(a log a + n log d) against
-// intern()'s radix passes over all n keys.  The table is then allowed to be
-// a *superset* of the state's distinct keys: rank order is still key order
-// and every state key still maps through the table, so protocols decide and
-// materialise identically; only the (unobserved) rank values differ.
+// intern()'s radix passes over all n keys.  extend_remap() is the same merge
+// for a caller whose lanes already index the table: it re-ranks every lane
+// through one old -> new rank map, O(a log a + d + n), leaving the caller to
+// binary-search only the lanes whose key changed.  The table is then allowed
+// to be a *superset* of the state's distinct keys: rank order is still key
+// order and every state key still maps through the table, so protocols
+// decide and materialise identically; only the (unobserved) rank values
+// differ.
 #pragma once
 
 #include <algorithm>
@@ -152,32 +156,23 @@ class KeyInterner {
               std::span<std::uint32_t> ranks) {
     GQ_REQUIRE(keys.size() == ranks.size(),
                "one rank slot per interned key required");
-    if (add_buf_.size() < added.size()) add_buf_.resize(added.size());
-    std::copy(added.begin(), added.end(), add_buf_.begin());
-    const auto add_end =
-        add_buf_.begin() + static_cast<std::ptrdiff_t>(added.size());
-    std::sort(add_buf_.begin(), add_end);
-    // Set-union merge of two sorted ranges into the pooled merge buffer;
-    // both inputs may carry duplicates of each other.
-    merge_buf_.clear();
-    merge_buf_.reserve(table_.size() + added.size());
-    auto t = table_.begin();
-    auto a = add_buf_.begin();
-    while (t != table_.end() || a != add_end) {
-      const Key* next = nullptr;
-      if (a == add_end || (t != table_.end() && *t <= *a)) {
-        next = &*t++;
-      } else {
-        next = &*a++;
-      }
-      if (merge_buf_.empty() || merge_buf_.back() != *next) {
-        merge_buf_.push_back(*next);
-      }
-    }
-    table_.swap(merge_buf_);
+    merge(added, nullptr);
     for (std::size_t v = 0; v < keys.size(); ++v) {
       ranks[v] = rank_of(keys[v]);
     }
+  }
+
+  // Lane-remapping extension: the same merge as extend(), for ranks that
+  // already index the current table.  Each ranks[v] is rewritten to the
+  // merged rank of the key it named, through one old -> new rank map
+  // recorded by the merge instead of a binary search per lane, so the
+  // table and ranks equal extend()'s over the same keys.  Every ranks[v]
+  // must be below the table size before the call.  O(a log a + d + n).
+  void extend_remap(std::span<const Key> added,
+                    std::span<std::uint32_t> ranks) {
+    remap_.resize(table_.size());
+    merge(added, remap_.data());
+    for (std::uint32_t& r : ranks) r = remap_[r];
   }
 
   // Replaces the dictionary with an externally maintained sorted table
@@ -238,9 +233,36 @@ class KeyInterner {
     std::uint32_t node;
   };
 
+  // Set-union merge of `added` (sorted here; it may duplicate itself or the
+  // table) into the sorted table.  A non-null `remap` receives, for each old
+  // table entry in order, its rank in the merged table.
+  void merge(std::span<const Key> added, std::uint32_t* remap) {
+    if (add_buf_.size() < added.size()) add_buf_.resize(added.size());
+    std::copy(added.begin(), added.end(), add_buf_.begin());
+    const auto add_end =
+        add_buf_.begin() + static_cast<std::ptrdiff_t>(added.size());
+    std::sort(add_buf_.begin(), add_end);
+    merge_buf_.clear();
+    merge_buf_.reserve(table_.size() + added.size());
+    auto t = table_.begin();
+    auto a = add_buf_.begin();
+    while (t != table_.end() || a != add_end) {
+      const bool from_table = a == add_end || (t != table_.end() && *t <= *a);
+      const Key& next = from_table ? *t++ : *a++;
+      if (merge_buf_.empty() || merge_buf_.back() != next) {
+        merge_buf_.push_back(next);
+      }
+      if (from_table && remap != nullptr) {
+        *remap++ = static_cast<std::uint32_t>(merge_buf_.size() - 1);
+      }
+    }
+    table_.swap(merge_buf_);
+  }
+
   std::vector<Slot> slots_a_, slots_b_;  // radix ping-pong
   std::vector<Key> table_;
-  std::vector<Key> add_buf_, merge_buf_;  // extend() scratch
+  std::vector<Key> add_buf_, merge_buf_;  // merge() scratch
+  std::vector<std::uint32_t> remap_;      // extend_remap()'s rank map
 };
 
 // ---- median of K interned ranks --------------------------------------------

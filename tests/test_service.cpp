@@ -7,7 +7,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <random>
+#include <set>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -447,6 +452,340 @@ TEST(Service, FailureModelQueriesStayWarmColdIdentical) {
   EXPECT_LE(warm.served, warm.nodes);
   EXPECT_GE(warm.served, warm.nodes * 3 / 4);  // robust coverage serves most
   expect_same_answer(warm, cold_quantile_reply(service, warm, request));
+}
+
+TEST(Service, EmptyIngestBatchOpensNoEpoch) {
+  constexpr std::uint32_t kNodes = 64;
+  QuantileService service(kNodes, service_config(1));
+  ingest_fixture(service, kNodes, 4, 19);
+
+  QueryRequest request;
+  request.kind = QueryKind::kQuantile;
+  request.phi = 0.5;
+  request.eps = 0.2;
+  request.seed = 5;
+  const QueryReply first = service.query(request);
+  service.ingest(3, std::span<const double>{});
+  const QueryReply second = service.query(request);
+  EXPECT_EQ(first.epoch, 1u);
+  EXPECT_EQ(second.epoch, 1u);
+  EXPECT_EQ(service.stats().epoch, 1u);
+  expect_same_answer(second, first);
+
+  // A zero-length batch still validates the node id.
+  service.leave(5);
+  EXPECT_THROW(service.ingest(5, std::span<const double>{}),
+               std::invalid_argument);
+  EXPECT_THROW(service.ingest(kNodes + 1, std::span<const double>{}),
+               std::invalid_argument);
+}
+
+// ---- incremental seal == full rebuild --------------------------------------
+
+// Every field of a reply except its epoch stamp.
+void expect_same_reply(const QueryReply& a, const QueryReply& b) {
+  expect_same_answer(a, b);
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.fraction, b.fraction);
+  EXPECT_EQ(a.cdf, b.cdf);
+  EXPECT_EQ(a.multi_answers, b.multi_answers);
+  EXPECT_EQ(a.multi_values, b.multi_values);
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_EQ(a.quality, b.quality);
+  EXPECT_EQ(a.error_bound, b.error_bound);
+  EXPECT_EQ(a.attempts, b.attempts);
+}
+
+void expect_same_session(const EpochSession& a, const EpochSession& b) {
+  EXPECT_TRUE(std::ranges::equal(a.table(), b.table()));
+  EXPECT_TRUE(std::ranges::equal(a.lanes(), b.lanes()));
+  EXPECT_EQ(a.rebuilds(), b.rebuilds());
+  EXPECT_EQ(a.extends(), b.extends());
+  EXPECT_EQ(a.reuse_hits(), b.reuse_hits());
+}
+
+// The five query kinds round-robin, each on a pinned seed.
+QueryRequest call_log_request(std::size_t step) {
+  QueryRequest r;
+  r.kind = static_cast<QueryKind>(step % 5);
+  r.seed = 1000 + step;
+  r.phi = 0.15 + 0.1 * static_cast<double>(step % 8);
+  r.eps = 0.25;
+  r.value = 0.45;
+  r.cdf_points = {0.25, 0.5, 0.75, 0.9};
+  r.phis = {0.2, 0.5, 0.9};
+  return r;
+}
+
+// A seeded call log against one live service: ingest batches of 1-300
+// values on random nodes, a join, the joined node's first ingest, a leave,
+// and quiet steps that ingest only an empty batch, each step followed by
+// one query.  At every step the warm service must hold the instance a cold
+// service replaying each node's whole stream seals, answer exactly as that
+// cold service does, and hold the session a full-scan update of every
+// sealed instance builds; seal_recomputed_slots must grow by the touched
+// nodes on a kLocalQuantile trickle seal and by m on every other seal.
+void check_call_log(InstancePolicy policy, unsigned threads) {
+  constexpr std::uint32_t kNodes = 80;
+  constexpr std::size_t kSteps = 60;
+  constexpr std::uint32_t kLeaver = 7;
+  ServiceConfig cfg = service_config(threads);
+  cfg.instance_policy = policy;
+  cfg.session_compact_factor = 2;
+  QuantileService warm(kNodes, cfg);
+  std::vector<std::vector<double>> streams(kNodes);  // by node id
+  std::vector<bool> live(kNodes, true);
+  std::mt19937_64 rng(4242);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto feed = [&](std::uint32_t node, std::size_t count) {
+    std::vector<double> batch(count);
+    for (double& x : batch) x = unit(rng);
+    warm.ingest(node, batch);
+    streams[node].insert(streams[node].end(), batch.begin(), batch.end());
+  };
+  for (std::uint32_t v = 0; v < kNodes; ++v) feed(v, 8);
+
+  EpochSession reference;
+  std::uint32_t joined = 0;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE(step);
+    bool membership = step == 0;
+    std::set<std::uint32_t> touched;
+    if (step == 15) {
+      joined = warm.join();
+      streams.emplace_back();
+      live.push_back(true);
+      membership = true;
+    } else if (step == 20) {
+      feed(joined, 5);  // the first ingest into an empty stream
+      membership = true;
+    } else if (step == 30) {
+      warm.leave(kLeaver);
+      live[kLeaver] = false;
+      membership = true;
+    } else if (step % 11 == 10) {
+      warm.ingest(3, std::span<const double>{});
+    } else {
+      for (std::uint64_t b = 1 + rng() % 6; b > 0; --b) {
+        const auto node = static_cast<std::uint32_t>(rng() % kNodes);
+        if (!live[node]) continue;
+        feed(node, 1 + rng() % 300);
+        touched.insert(node);
+      }
+    }
+
+    const ServiceStats before = warm.stats();
+    const QueryRequest request = call_log_request(step);
+    const QueryReply reply = warm.query(request);
+    const ServiceStats after = warm.stats();
+    const bool sealed = membership || !touched.empty();
+    ASSERT_EQ(after.epoch, before.epoch + (sealed ? 1 : 0));
+    const std::uint64_t m = warm.epoch_keys().size();
+    const bool every_slot =
+        membership || policy == InstancePolicy::kGlobalResample;
+    EXPECT_EQ(after.seal_recomputed_slots - before.seal_recomputed_slots,
+              !sealed ? 0 : every_slot ? m : touched.size());
+
+    QuantileService cold(static_cast<std::uint32_t>(streams.size()), cfg);
+    for (std::uint32_t v = 0; v < streams.size(); ++v) {
+      if (!live[v]) {
+        cold.leave(v);
+      } else {
+        cold.ingest(v, streams[v]);
+      }
+    }
+    const QueryReply fresh = cold.query(request);
+    ASSERT_TRUE(std::ranges::equal(warm.epoch_keys(), cold.epoch_keys()));
+    expect_same_reply(reply, fresh);
+
+    if (sealed) reference.update(warm.epoch_keys(), cfg.session_compact_factor);
+    expect_same_session(warm.session(), reference);
+  }
+  EXPECT_GE(warm.stats().session_rebuilds, 2u);  // crossed the compact factor
+}
+
+TEST(Service, IncrementalSealMatchesColdReplayAcrossACallLog) {
+  for (const InstancePolicy policy :
+       {InstancePolicy::kLocalQuantile, InstancePolicy::kGlobalResample}) {
+    for (const unsigned threads : kThreadCounts) {
+      SCOPED_TRACE(::testing::Message()
+                   << "policy " << static_cast<int>(policy) << " threads "
+                   << threads);
+      check_call_log(policy, threads);
+    }
+  }
+}
+
+TEST(Service, PrometheusExportsSealRecomputedSlots) {
+  constexpr std::uint32_t kNodes = 64;
+  QuantileService service(kNodes, service_config(1));
+  ingest_fixture(service, kNodes, 4, 19);
+  (void)service.seal();
+  const double batch[] = {0.1, 0.9};
+  service.ingest(3, batch);
+  service.ingest(9, batch);
+  service.ingest(3, batch);  // a node counts once per epoch
+  (void)service.seal();
+  EXPECT_EQ(service.stats().seal_recomputed_slots, kNodes + 2u);
+  EXPECT_NE(service.prometheus_text().find(
+                "gq_service_seal_recomputed_slots_total 66\n"),
+            std::string::npos);
+}
+
+// ---- degraded replies: golden values ---------------------------------------
+
+// One service's degraded answers to golden_requests(), in request order.
+struct DegradedGolden {
+  Key quantile;
+  Key exact;
+  std::uint64_t rank_count;
+  std::vector<std::uint64_t> cdf_counts;
+  std::vector<Key> multi;
+};
+
+std::vector<QueryRequest> golden_requests() {
+  std::vector<QueryRequest> r(5);
+  r[0].kind = QueryKind::kQuantile;
+  r[0].phi = 0.3;
+  r[1].kind = QueryKind::kExactQuantile;
+  r[1].phi = 0.7;
+  r[2].kind = QueryKind::kRank;
+  r[2].value = 0.45;
+  r[3].kind = QueryKind::kCdf;
+  r[3].cdf_points = {0.2, 0.5, 0.8};
+  r[4].kind = QueryKind::kMultiQuantile;
+  r[4].phis = {0.1, 0.5, 0.99};
+  return r;
+}
+
+// Golden degraded replies of a forced-exhaustion service per
+// InstancePolicy, after the first (full) seal and after a trickle seal that
+// moves 43 of the 300 keys.  The values are those of a summary built at
+// seal time; the kLocalQuantile summary is built from the frozen instance
+// on the epoch's first degraded reply instead, with the same seed and
+// inserts, so every answer must match bit for bit.
+TEST(Service, DegradedRepliesKeepTheirGoldenValues) {
+  constexpr std::uint32_t kNodes = 300;
+  const struct {
+    InstancePolicy policy;
+    DegradedGolden epochs[2];
+  } cases[] = {
+      {InstancePolicy::kLocalQuantile,
+       {{Key{0x1.bc34da91e347ep-2, 118, 0},
+         Key{0x1.126126cc92162p-1, 108, 0},
+         115,
+         {4, 167, 301},
+         {Key{0x1.70bd93b6ca138p-2, 199, 0}, Key{0x1.edb68050552e2p-2, 247, 0},
+          Key{0x1.580b8d3274dbbp-1, 160, 0}}},
+        {Key{0x1.c826983f97abap-2, 92, 0},
+         Key{0x1.28b35df2014e9p-1, 51, 0},
+         96,
+         {0, 142, 261},
+         {Key{0x1.7d5327d05ccfap-2, 64, 0}, Key{0x1.07a2abd85e11cp-1, 13, 0},
+          Key{0x1.22f1a9fbe76c9p+1, 273, 0}}}}},
+      {InstancePolicy::kGlobalResample,
+       {{Key{0x1.4727c4ba3d17ap-2, 7, 0},
+         Key{0x1.6bb181788d279p-1, 0, 0},
+         133,
+         {62, 145, 233},
+         {Key{0x1.a600d577f98cp-4, 20, 0}, Key{0x1.08c60bd1cef63p-1, 9, 0},
+          Key{0x1.fda0d22e91ecep-1, 23, 0}}},
+        {Key{0x1.7041022256946p-2, 19, 0},
+         Key{0x1.a72c7f41f23e6p-1, 15, 0},
+         113,
+         {48, 123, 197},
+         {Key{0x1.1382bb6080794p-3, 14, 0}, Key{0x1.317f8710073cep-1, 0, 0},
+          Key{0x1.23d70a3d70a3ep+1, 45, 0}}}}},
+  };
+  const std::vector<QueryRequest> requests = golden_requests();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.policy));
+    ServiceConfig cfg = service_config(2);
+    cfg.instance_policy = c.policy;
+    cfg.supervisor.max_attempts = 1;
+    cfg.supervisor.min_served_fraction = 1.5;  // unattainable: always exhausts
+    cfg.breaker.open_after = 0;
+    QuantileService service(kNodes, cfg);
+    ingest_fixture(service, kNodes, 24, 61);
+    for (std::size_t epoch = 0; epoch < 2; ++epoch) {
+      SCOPED_TRACE(epoch);
+      if (epoch == 1) {
+        for (std::uint32_t node = 0; node < kNodes; node += 7) {
+          service.ingest(node, std::vector<double>(30, 2.0 + node * 1e-3));
+        }
+      }
+      std::vector<QueryReply> replies;
+      for (const QueryRequest& request : requests) {
+        replies.push_back(service.query(request));
+        EXPECT_EQ(replies.back().quality, AnswerQuality::kDegraded);
+        EXPECT_EQ(replies.back().error_bound, 0x1p-4);
+        EXPECT_EQ(replies.back().epoch, epoch + 1);
+      }
+      const DegradedGolden& golden = c.epochs[epoch];
+      EXPECT_EQ(replies[0].answer, golden.quantile);
+      EXPECT_EQ(replies[1].answer, golden.exact);
+      EXPECT_EQ(replies[2].count, golden.rank_count);
+      EXPECT_EQ(replies[3].cdf_counts, golden.cdf_counts);
+      EXPECT_EQ(replies[4].multi_answers, golden.multi);
+    }
+  }
+}
+
+// ---- slot-targeted session update == full scan -----------------------------
+
+TEST(EpochSession, SlotTargetedUpdateMatchesFullScan) {
+  constexpr std::uint32_t kSlots = 40;
+  constexpr std::uint32_t kFactor = 2;
+  std::vector<Key> instance(kSlots);
+  for (std::uint32_t i = 0; i < kSlots; ++i) {
+    instance[i] = Key{0.5 + 0.01 * i, i, 0};
+  }
+  const Key original3 = instance[3];
+
+  EpochSession full;
+  EpochSession targeted;
+  std::vector<std::uint32_t> every(kSlots);
+  std::iota(every.begin(), every.end(), 0u);
+  full.update(instance, kFactor);
+  targeted.update(instance, every, kFactor);
+  expect_same_session(targeted, full);
+
+  // Each epoch's changed slots (in no particular order) and their new keys.
+  using Changes = std::vector<std::pair<std::uint32_t, Key>>;
+  Changes many, more;
+  for (std::uint32_t i = 0; i < 30; ++i) {
+    many.emplace_back((i * 7) % kSlots, Key{2.0 + 0.01 * i, i, 1});
+  }
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    more.emplace_back((i * 11 + 5) % kSlots, Key{3.0 + 0.01 * i, i, 1});
+  }
+  const std::pair<const char*, Changes> epochs[] = {
+      {"fresh keys below and above the table",
+       {{17, Key{-1.0, 17, 0}}, {3, Key{9.0, 3, 0}}}},
+      {"a new key already in the table", {{8, instance[9]}}},
+      {"a slot reverts to an older key", {{3, original3}}},
+      {"an empty change list", {}},
+      {"30 fresh keys", many},
+      {"20 more fresh keys", more},
+      {"a compaction epoch", {{0, Key{-2.0, 0, 0}}}},
+  };
+  for (const auto& [what, changes] : epochs) {
+    SCOPED_TRACE(what);
+    std::vector<std::uint32_t> changed;
+    for (const auto& [slot, key] : changes) {
+      instance[slot] = key;
+      changed.push_back(slot);
+    }
+    full.update(instance, kFactor);
+    targeted.update(instance, changed, kFactor);
+    expect_same_session(targeted, full);
+  }
+  // The cases hit the paths they name: three reuse hits, three merges, and
+  // a compaction once the table outgrew kFactor * kSlots.
+  EXPECT_EQ(full.reuse_hits(), 3u);
+  EXPECT_EQ(full.extends(), 3u);
+  EXPECT_EQ(full.rebuilds(), 2u);
 }
 
 // ---- interner session: incremental extend == full re-intern ---------------

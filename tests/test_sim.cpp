@@ -447,6 +447,45 @@ TEST(KeyInterner, RadixInternMatchesSortReference) {
   }
 }
 
+// extend_remap() re-ranks lanes through the merge's old -> new rank map
+// instead of searching; it must leave exactly extend()'s table and ranks,
+// whatever `added` holds.
+TEST(KeyInterner, ExtendRemapMatchesExtend) {
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(trial);
+    // Coarse values and few ids, so the table holds duplicates of the state.
+    std::vector<Key> keys(1 + rng() % 300);
+    for (Key& k : keys) {
+      k = Key{std::floor(unit(rng) * 64.0), static_cast<std::uint32_t>(rng() % 4),
+              0};
+    }
+    KeyInterner by_search;
+    KeyInterner by_remap;
+    std::vector<std::uint32_t> search_ranks(keys.size());
+    std::vector<std::uint32_t> remap_ranks(keys.size());
+    by_search.intern(keys, search_ranks);
+    by_remap.intern(keys, remap_ranks);
+
+    std::vector<Key> added;  // every fifth trial: an empty added list
+    if (trial % 5 != 0) {
+      for (std::uint64_t i = rng() % 20; i > 0; --i) {
+        added.push_back(Key{unit(rng) * 64.0, 7, i});  // new, inside the range
+      }
+      added.push_back(keys[rng() % keys.size()]);  // already in the table
+      added.push_back(added.front());              // duplicated in `added`
+      added.push_back(Key{-1.0 - trial, 0, 0});    // below every table key
+      added.push_back(Key{100.0 + trial, 0, 0});   // above every table key
+      std::shuffle(added.begin(), added.end(), rng);
+    }
+    by_search.extend(added, keys, search_ranks);
+    by_remap.extend_remap(added, remap_ranks);
+    EXPECT_TRUE(std::ranges::equal(by_remap.table(), by_search.table()));
+    EXPECT_EQ(remap_ranks, search_ranks);
+  }
+}
+
 TEST(KeyInterner, RejectsNaNAndKeepsThePreviousTable) {
   KeyInterner interner;
   const std::vector<Key> keys = {Key{2.0, 0, 0}, Key{1.0, 1, 0}};
