@@ -1,12 +1,11 @@
 // E-ENG — engine scale: sharded parallel execution vs the sequential path.
 //
 // Demonstrates the engine subsystem at the paper's analysed scale
-// (n = 10^6–10^7 nodes) with thread-count sweeps.  Three workloads:
+// (n = 10^6–10^7 nodes) with thread-count sweeps.  Two workloads:
 //
-//   1. raw pull rounds (the simulator substrate),
-//   2. median dynamics via the NodeProtocol runtime — sequential
-//      run_protocols(Network&) vs the engine adapter, and
-//   3. median dynamics as the engine's batched SoA kernel (no virtual
+//   1. raw pull rounds (the simulator substrate), and
+//   2. the [DGM+11] median rule (median_rule_keys) — the sequential
+//      Network baseline vs the engine's batched kernel (no virtual
 //      dispatch in the hot loop).
 //
 // Every engine configuration computes bit-identical results to the
@@ -14,18 +13,15 @@
 // pure throughput comparison.  GQ_BENCH_FAST=1 skips the 10^7 sweep.
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "baselines/median_rule.hpp"
 #include "bench_common.hpp"
 #include "engine/engine.hpp"
 #include "engine/kernels.hpp"
-#include "engine/runtime_adapter.hpp"
-#include "runtime/protocol.hpp"
 #include "sim/network.hpp"
-#include "wire/codec.hpp"
 #include "workload/distributions.hpp"
 #include "workload/tiebreak.hpp"
 
@@ -64,10 +60,10 @@ void pull_round_table(std::uint32_t n, std::uint64_t rounds) {
   table.print();
 }
 
-void median_dynamics_table(std::uint32_t n, std::uint64_t iterations) {
+void median_rule_table(std::uint32_t n, std::uint64_t iterations) {
   const auto keys =
       make_keys(generate_values(Distribution::kUniformReal, n, 71));
-  const std::uint64_t bits = KeyCodec(n).encoded_bits();
+  const MedianRuleParams params{.iterations = iterations};
   const std::uint64_t rounds = 2 * iterations;
 
   bench::Table table(
@@ -76,34 +72,13 @@ void median_dynamics_table(std::uint32_t n, std::uint64_t iterations) {
   double seq_secs;
   {
     Network net(n, 42);
-    std::vector<std::unique_ptr<NodeProtocol>> protos;
-    protos.reserve(n);
-    for (const Key& k : keys) {
-      protos.push_back(std::make_unique<MedianDynamicsProtocol>(k, iterations));
-    }
     const auto t0 = std::chrono::steady_clock::now();
-    (void)run_protocols(net, protos, rounds, bits);
-    seq_secs = bench::seconds_since(t0);
-    table.add_row({"runtime (sequential)", "1", bench::fmt_u(rounds),
+    const MedianRuleResult result = median_rule_keys(net, keys, params);
+    seq_secs = bench::seconds_since(t0);  // before freeing the outputs
+    table.add_row({"Network (sequential)", "1", bench::fmt_u(rounds),
                    bench::fmt(bench::mnrs(n, rounds, seq_secs)), "1.00"});
-    artifact().add("median_dynamics", "network", n, 1, rounds, seq_secs, seq_secs);
-  }
-
-  for (unsigned threads : bench::thread_sweep(kThreadSweep)) {
-    Engine engine(n, 42, FailureModel{}, EngineConfig{.threads = threads});
-    std::vector<std::unique_ptr<NodeProtocol>> protos;
-    protos.reserve(n);
-    for (const Key& k : keys) {
-      protos.push_back(std::make_unique<MedianDynamicsProtocol>(k, iterations));
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)run_protocols(engine, protos, rounds, bits);
-    const double secs = bench::seconds_since(t0);
-    table.add_row({"engine adapter", std::to_string(threads),
-                   bench::fmt_u(rounds), bench::fmt(bench::mnrs(n, rounds, secs)),
-                   bench::fmt(seq_secs / secs)});
-    artifact().add("median_dynamics_adapter", "engine", n, threads, rounds, secs,
-           seq_secs);
+    artifact().add("median_dynamics", "network", n, 1, rounds, seq_secs,
+                   seq_secs);
   }
 
   for (const std::uint32_t block : bench::block_sweep()) {
@@ -112,9 +87,8 @@ void median_dynamics_table(std::uint32_t n, std::uint64_t iterations) {
     for (unsigned threads : bench::thread_sweep(kThreadSweep)) {
       Engine engine(n, 42, FailureModel{},
                     EngineConfig{.threads = threads, .gather_block = block});
-      std::vector<Key> state(keys.begin(), keys.end());
       const auto t0 = std::chrono::steady_clock::now();
-      (void)median_dynamics(engine, state, iterations, rounds, bits);
+      const MedianRuleResult result = median_rule_keys(engine, keys, params);
       const double secs = bench::seconds_since(t0);
       table.add_row({"engine batched kernel", std::to_string(threads),
                      bench::fmt_u(rounds),
@@ -130,7 +104,7 @@ void median_dynamics_table(std::uint32_t n, std::uint64_t iterations) {
 void kernel_only_table(std::uint32_t n, std::uint64_t iterations) {
   const auto keys =
       make_keys(generate_values(Distribution::kUniformReal, n, 73));
-  const std::uint64_t bits = KeyCodec(n).encoded_bits();
+  const MedianRuleParams params{.iterations = iterations};
   const std::uint64_t rounds = 2 * iterations;
 
   // Normalised against the sweep's first row (historically the t=1 run;
@@ -145,9 +119,8 @@ void kernel_only_table(std::uint32_t n, std::uint64_t iterations) {
     for (unsigned threads : bench::thread_sweep(kThreadSweep)) {
       Engine engine(n, 44, FailureModel{},
                     EngineConfig{.threads = threads, .gather_block = block});
-      std::vector<Key> state(keys.begin(), keys.end());
       const auto t0 = std::chrono::steady_clock::now();
-      (void)median_dynamics(engine, state, iterations, rounds, bits);
+      const MedianRuleResult result = median_rule_keys(engine, keys, params);
       const double secs = bench::seconds_since(t0);
       if (base_secs == 0.0) base_secs = secs;
       table.add_row({"engine batched kernel", std::to_string(threads),
@@ -178,9 +151,9 @@ void run() {
   std::printf("## raw pull rounds, n = %u\n\n", n);
   pull_round_table(n, 6);
 
-  std::printf("\n## median dynamics, n = %u (protocol path vs batched)\n\n",
+  std::printf("\n## median rule, n = %u (sequential vs batched kernel)\n\n",
               n);
-  median_dynamics_table(n, 3);
+  median_rule_table(n, 3);
 
   if (!bench::fast_mode() && !bench::smoke_mode()) {
     std::printf("\n## batched kernel, n = 10^7\n\n");

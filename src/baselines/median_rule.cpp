@@ -1,34 +1,17 @@
 #include "baselines/median_rule.hpp"
 
-#include <bit>
-
+#include "core/robust_pipeline.hpp"  // robust_detail::median3
 #include "util/require.hpp"
 #include "workload/tiebreak.hpp"
 
 namespace gq {
-namespace {
-
-const Key& median3(const Key& a, const Key& b, const Key& c) {
-  if (a < b) {
-    if (b < c) return b;
-    return a < c ? c : a;
-  }
-  if (a < c) return a;
-  return b < c ? c : b;
-}
-
-}  // namespace
 
 MedianRuleResult median_rule_keys(Network& net, std::span<const Key> keys,
                                   const MedianRuleParams& params) {
   const std::uint32_t n = net.size();
   GQ_REQUIRE(keys.size() == n, "one key per node required");
 
-  std::uint64_t iterations = params.iterations;
-  if (iterations == 0) {
-    iterations = 4 * static_cast<std::uint64_t>(
-                         std::bit_width(static_cast<std::uint64_t>(n) - 1));
-  }
+  const std::uint64_t iterations = median_rule_iterations(n, params);
   const std::uint64_t bits = key_bits(n);
 
   MedianRuleResult out;
@@ -62,7 +45,7 @@ MedianRuleResult median_rule_keys(Network& net, std::span<const Key> keys,
       SplitMix64 stream = net.node_stream(v);
       const std::uint32_t second = net.sample_peer(v, stream);
       net.record_message(bits);
-      next[v] = median3(cur[v], cur[first[v]], cur[second]);
+      next[v] = robust_detail::median3(cur[v], cur[first[v]], cur[second]);
     }
     cur.swap(next);
   }

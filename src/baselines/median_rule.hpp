@@ -8,9 +8,15 @@
 //
 // Provided as a baseline so bench_dynamics can show what the paper's
 // 2-TOURNAMENT shift + scheduled 3-TOURNAMENT add on top of raw dynamics.
+// The parallel Engine runs the same rule as a batched kernel
+// (median_rule_keys(Engine&) in engine/kernels.hpp), bit-identical to the
+// Network overload below.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "sim/key.hpp"
 #include "sim/network.hpp"
@@ -22,6 +28,14 @@ struct MedianRuleParams {
   // paper-suggested c*log2(n) with c = 4.
   std::uint64_t iterations = 0;
 };
+
+// The iteration count a run with `params` performs on n nodes.
+[[nodiscard]] inline std::uint64_t median_rule_iterations(
+    std::uint32_t n, const MedianRuleParams& params) {
+  if (params.iterations != 0) return params.iterations;
+  return 4 * static_cast<std::uint64_t>(
+                 std::bit_width(static_cast<std::uint64_t>(n) - 1));
+}
 
 struct MedianRuleResult {
   std::vector<Key> outputs;     // per-node final value

@@ -197,32 +197,36 @@ struct PendingDelivery {
 
 // True iff `node` is down (FaultKind::kCrash) in `round`.  Shared by the
 // fold below and the serving decisions, so "excluded from served sets while
-// down" means the same thing on both executors.
+// down" means the same thing on both executors.  Only a strategy that
+// may_crash() is probed; no other can report a node down.
 inline bool node_down(const AdversaryStrategy* adversary, std::uint32_t node,
                       std::uint64_t round) {
-  return adversary != nullptr &&
+  return adversary != nullptr && adversary->may_crash() &&
          adversary->fault(node, round).kind == FaultKind::kCrash;
 }
 
 // The per-node fold of one fused pull block under message faults — the ONE
 // copy of fault semantics both executors execute.  For each of `pulls`
 // rounds (block-relative j, absolute base + j):
-//   1. the node's lifecycle is consulted: while down (kCrash) it sends and
-//      receives nothing — pending deliveries addressed to it are lost, its
-//      own pull is skipped, and nothing is billed (adversary_crashed);
-//      kRecover tallies a recovery event and otherwise behaves as kNone;
+//   1. if the strategy may_crash(), the node's lifecycle is consulted:
+//      while down (kCrash) it sends and receives nothing — pending
+//      deliveries addressed to it are lost, its own pull is skipped, and
+//      nothing is billed (adversary_crashed); kRecover tallies a recovery
+//      event and otherwise behaves as kNone;
 //   2. pending deliveries whose arrival round is j are handed to
 //      deliver(j, payload) in insertion order;
 //   3. the node's own pull flips the oblivious failure coin (a failed
 //      operation loses the round and bills nothing);
 //   4. otherwise the peer is drawn (the block's only stream draw); a down
-//      peer has no state to pull, so the message never exists
-//      (adversary_crash_dropped); otherwise payload_of(j, peer) produces
-//      the payload, the message is billed as sent, and the adversary's
-//      fault(v, round) is applied: kDrop destroys it, kCorrupt replaces
-//      the payload with inject(fault.value), kDelay re-enqueues it for
-//      round j + delay (destroyed if the block ends first — counted as
-//      delayed either way).
+//      peer (probed only if the strategy may_crash()) has no state to
+//      pull, so the message never exists (adversary_crash_dropped);
+//      otherwise payload_of(j, peer) produces the payload, the message is
+//      billed as sent, and the adversary's fault(v, round) is applied:
+//      kDrop destroys it, kCorrupt replaces the payload with
+//      inject(fault.value), kDelay re-enqueues it for round j + delay
+//      (destroyed if the block ends first — counted as delayed either way).
+// A strategy that cannot crash is thus asked once per pull, after the
+// coin; fault() is pure, so where it is asked cannot change a transcript.
 // Returns the number of messages sent (caller bills bits); fault tallies
 // land in `local`.
 template <typename T, typename PayloadFn, typename InjectFn,
@@ -236,16 +240,19 @@ inline std::uint64_t walk_faulted_pulls(
   std::array<PendingDelivery<T>, kMaxBlockPulls> pending;
   std::uint32_t pending_count = 0;
   std::uint64_t sent = 0;
+  const bool lifecycle = adversary != nullptr && adversary->may_crash();
   for (std::uint32_t j = 0; j < pulls; ++j) {
     Fault self{};
-    if (adversary != nullptr) self = adversary->fault(v, base + j);
-    if (self.kind == FaultKind::kCrash) {
-      ++local.adversary_crashed;
-      continue;  // down: pending arrivals this round are lost with the node
-    }
-    if (self.kind == FaultKind::kRecover) {
-      ++local.adversary_recovered;
-      self = Fault{};
+    if (lifecycle) {
+      self = adversary->fault(v, base + j);
+      if (self.kind == FaultKind::kCrash) {
+        ++local.adversary_crashed;
+        continue;  // down: pending arrivals this round are lost with the node
+      }
+      if (self.kind == FaultKind::kRecover) {
+        ++local.adversary_recovered;
+        self = Fault{};
+      }
     }
     for (std::uint32_t i = 0; i < pending_count; ++i) {
       if (pending[i].arrival == j) deliver(j, pending[i].payload);
@@ -256,9 +263,13 @@ inline std::uint64_t walk_faulted_pulls(
     }
     SplitMix64 stream = streams::node_stream(seed, base + j, v);
     const std::uint32_t peer = streams::sample_peer(v, n, stream);
-    if (node_down(adversary, peer, base + j)) {
-      ++local.adversary_crash_dropped;
-      continue;  // nobody home: the pulled message never exists
+    if (lifecycle) {
+      if (adversary->fault(peer, base + j).kind == FaultKind::kCrash) {
+        ++local.adversary_crash_dropped;
+        continue;  // nobody home: the pulled message never exists
+      }
+    } else if (adversary != nullptr) {
+      self = adversary->fault(v, base + j);
     }
     T payload = payload_of(j, peer);
     ++sent;

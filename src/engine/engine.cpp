@@ -1,28 +1,24 @@
 #include "engine/engine.hpp"
 
-#include "sim/key.hpp"
-
 namespace gq {
 
 Engine::Engine(std::uint32_t n, std::uint64_t seed, FailureModel failures,
                EngineConfig config)
-    : n_(n),
-      seed_(seed),
-      failures_(std::move(failures)),
+    : ExecutorCore(n, seed, std::move(failures)),
       config_(config),
       num_shards_((config.shard_size == 0
                        ? 1
                        : (static_cast<std::size_t>(n) + config.shard_size - 1) /
                              config.shard_size)),
-      pool_(config.threads, config.pin_workers) {
-  GQ_REQUIRE(n >= 2, "a gossip network needs at least two nodes");
+      pool_(config.threads) {
   GQ_REQUIRE(config.shard_size > 0, "shard size must be positive");
   shard_scratch_.resize(num_shards_);
 }
 
 void Engine::pull_round(std::uint64_t bits_per_message,
                         std::span<std::uint32_t> peers_out) {
-  GQ_REQUIRE(peers_out.size() == n_, "peer output array must have one slot per node");
+  GQ_REQUIRE(peers_out.size() == size(),
+             "peer output array must have one slot per node");
   GQ_SPAN("engine/pull_round");
   begin_round();
   parallel_shards([&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
@@ -42,13 +38,9 @@ void Engine::pull_round(std::uint64_t bits_per_message,
 }
 
 std::vector<std::uint32_t> Engine::pull_round(std::uint64_t bits_per_message) {
-  std::vector<std::uint32_t> peers(n_, kNoPeer);
+  std::vector<std::uint32_t> peers(size(), kNoPeer);
   pull_round(bits_per_message, peers);
   return peers;
-}
-
-std::uint64_t Engine::default_message_bits() const noexcept {
-  return gq::default_message_bits(n_);
 }
 
 }  // namespace gq

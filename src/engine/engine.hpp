@@ -1,9 +1,9 @@
 // The sharded parallel gossip execution engine.
 //
-// Engine executes the same synchronous-round model as the sequential
-// Network, but shards each round over a fixed thread pool.  It exists to
-// push simulations to the paper's analysed scale (n in the millions) while
-// keeping every experiment reproducible.
+// Engine executes the synchronous-round model of sim/executor.hpp, like the
+// sequential Network, but shards each round over a fixed thread pool.  It
+// exists to push simulations to the paper's analysed scale (n in the
+// millions) while keeping every experiment reproducible.
 //
 // ## Determinism contract
 //
@@ -13,9 +13,10 @@
 // This rests on three properties, each load-bearing:
 //
 //   1. Counter-based randomness.  Node v's draws in round r are a pure
-//      function of (seed, r, v) — see sim/streams.hpp, which both Network
-//      and Engine delegate to.  No draw depends on the order in which other
-//      nodes are processed, so threads cannot perturb transcripts.
+//      function of (seed, r, v) — see sim/streams.hpp.  Both executors draw
+//      through the one ExecutorCore (sim/executor.hpp), so no draw depends
+//      on the order in which other nodes are processed, and threads cannot
+//      perturb transcripts.
 //   2. Disjoint output slots.  Every parallel kernel writes only to node-
 //      indexed slots of its own shard (peer arrays, per-node states); no
 //      shard writes state another shard reads within the same parallel
@@ -26,17 +27,20 @@
 //      never on the thread count — and every Metrics field is a sum or max,
 //      so the merged totals are exactly the sequential totals.
 //
-// Anything built on top (the NodeProtocol adapter in runtime_adapter.hpp,
-// the batched kernels in kernels.hpp) inherits the contract by only using
+// Anything built on top (the batched kernels in kernels.hpp, the scatter
+// primitive, the pipelines) inherits the contract by only using
 // parallel_shards() with per-node slots and per-shard Metrics.
 //
 // ## API shape
 //
-// Engine mirrors Network's primitives (begin_round / node_stream /
-// node_fails / sample_peer / metrics) so protocol code ports mechanically,
-// and adds the batched whole-round kernels pull_round / push_round that
-// fill a caller-provided contiguous peer array in parallel — no virtual
-// dispatch, no per-node allocation in the hot loop.
+// Engine inherits the executor core's primitives (begin_round /
+// node_stream / node_fails / sample_peer / metrics ...) from ExecutorCore,
+// exactly as Network does, so protocol code ports mechanically.  It adds
+// only its own round execution: the sharded parallel_shards section, the
+// pool, the scatter arena and pooled scratch, and the batched whole-round
+// kernels pull_round / push_round that fill a caller-provided contiguous
+// peer array in parallel — no virtual dispatch, no per-node allocation in
+// the hot loop.
 #pragma once
 
 #include <cstdint>
@@ -49,53 +53,18 @@
 #include "engine/arena.hpp"
 #include "engine/engine_config.hpp"
 #include "engine/thread_pool.hpp"
+#include "sim/executor.hpp"
 #include "sim/failure_model.hpp"
 #include "sim/metrics.hpp"
-#include "sim/network.hpp"
-#include "sim/streams.hpp"
 #include "util/require.hpp"
-#include "util/rng.hpp"
 
 namespace gq {
 
-class Engine {
+class Engine : public ExecutorCore {
  public:
-  // Same sentinel as the sequential path: "operation failed this round".
-  static constexpr std::uint32_t kNoPeer = Network::kNoPeer;
-
   Engine(std::uint32_t n, std::uint64_t seed,
          FailureModel failures = FailureModel{},
          EngineConfig config = EngineConfig{});
-
-  [[nodiscard]] std::uint32_t size() const noexcept { return n_; }
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-  [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
-  [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
-  [[nodiscard]] const FailureModel& failures() const noexcept {
-    return failures_;
-  }
-
-  // ---- adversarial fault injection -------------------------------------
-  // Mirrors Network::set_adversary exactly (see sim/network.hpp for the
-  // contract): the strategy is borrowed, bound to (seed, n), and an
-  // oblivious strategy's drop model is absorbed into the failure model so
-  // FailureModel stays the exact special case on this executor too.
-  void set_adversary(AdversaryStrategy* adversary) {
-    adversary_ = adversary;
-    if (adversary_ != nullptr) {
-      adversary_->bind(seed_, n_);
-      if (const FailureModel* fm = adversary_->oblivious_model();
-          fm != nullptr && failures_.never_fails()) {
-        failures_ = *fm;
-      }
-    }
-  }
-  [[nodiscard]] AdversaryStrategy* adversary() const noexcept {
-    return adversary_;
-  }
-  [[nodiscard]] bool faultless() const noexcept {
-    return failures_.never_fails() && adversary_ == nullptr;
-  }
 
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
   [[nodiscard]] unsigned threads() const noexcept { return pool_.threads(); }
@@ -122,62 +91,6 @@ class Engine {
                                      : kDefaultGatherBlock;
   }
 
-  // ---- sequential-compatible primitives --------------------------------
-
-  // Starts the next synchronous round and returns its index.
-  std::uint64_t begin_round() noexcept {
-    ++round_;
-    ++metrics_.rounds;
-    return round_;
-  }
-
-  // Independent random stream for node v in the current round; identical
-  // to Network::node_stream for the same (seed, round, v).
-  [[nodiscard]] SplitMix64 node_stream(std::uint32_t v) const noexcept {
-    return streams::node_stream(seed_, round_, v);
-  }
-
-  // With an adversary installed, kDrop/kDelay/kCrash faults read as failed
-  // operations here, exactly as on Network (see sim/network.hpp).
-  [[nodiscard]] bool node_fails(std::uint32_t v) const {
-    return op_fails(v, round_);
-  }
-
-  // Explicit-round variant for fused multi-round kernels that advance the
-  // round counter before running their node loops.
-  [[nodiscard]] bool op_fails(std::uint32_t v, std::uint64_t round) const {
-    if (streams::node_fails(seed_, round, v, failures_)) return true;
-    if (adversary_ == nullptr) return false;
-    const Fault f = adversary_->fault(v, round);
-    return f.kind == FaultKind::kDrop || f.kind == FaultKind::kDelay ||
-           f.kind == FaultKind::kCrash;
-  }
-
-  [[nodiscard]] std::uint32_t sample_peer(std::uint32_t v,
-                                          SplitMix64& stream) const noexcept {
-    return streams::sample_peer(v, n_, stream);
-  }
-
-  // Theta(log n)-bit default message budget, as Network::default_message_bits.
-  [[nodiscard]] std::uint64_t default_message_bits() const noexcept;
-
-  // Session reuse hook for long-lived callers (src/service/): rebases the
-  // deterministic randomness onto a fresh (seed, round = 0) stream.  Because
-  // every draw is a pure function of (seed, round, node), a warm engine
-  // re-runs any pipeline after reset_stream(s) **bit-identically** to a cold
-  // Engine(n, s) — while the thread pool, scatter arena, and pooled scratch
-  // (all observationally neutral) stay warm, which is the point of keeping
-  // the engine alive between queries.  Metrics keep accumulating across
-  // resets (service-lifetime accounting); callers wanting per-query deltas
-  // snapshot metrics() around the call.
-  void reset_stream(std::uint64_t seed) {
-    seed_ = seed;
-    round_ = 0;
-    // Re-bind so strategy randomness rebases with the stream (bind may
-    // allocate, hence no noexcept).
-    if (adversary_ != nullptr) adversary_->bind(seed_, n_);
-  }
-
   // ---- sharded execution -----------------------------------------------
 
   // The extension point every batched kernel is built on: runs
@@ -197,7 +110,7 @@ class Engine {
           static_cast<std::uint32_t>(s * static_cast<std::size_t>(shard_size));
       const std::uint32_t end =
           s + 1 == num_shards_
-              ? n_
+              ? size()
               : static_cast<std::uint32_t>(
                     (s + 1) * static_cast<std::size_t>(shard_size));
       Metrics& local = shard_scratch_[s];
@@ -211,7 +124,7 @@ class Engine {
     // observationally neutral and keeps per-section accounting proportional
     // to the shards that actually billed traffic.
     for (const Metrics& local : shard_scratch_) {
-      if (!local.empty()) metrics_.merge(local);
+      if (!local.empty()) mutable_metrics().merge(local);
     }
   }
 
@@ -269,13 +182,7 @@ class Engine {
   }
 
  private:
-  std::uint32_t n_;
-  std::uint64_t seed_;
-  FailureModel failures_;
-  AdversaryStrategy* adversary_ = nullptr;  // borrowed; see set_adversary
   EngineConfig config_;
-  std::uint64_t round_ = 0;
-  Metrics metrics_;
   std::size_t num_shards_;
   ThreadPool pool_;
   std::vector<Metrics> shard_scratch_;  // one accumulator per shard

@@ -26,14 +26,6 @@ struct EngineConfig {
   // order, results, and Metrics are identical at every block size (pinned
   // by tests/test_engine.cpp).  0 picks the tuned default.
   std::uint32_t gather_block = 0;
-
-  // Pin worker threads to distinct cores so first-touch page placement
-  // (FirstTouchBuffer, scatter mailbox rows) survives scheduler migration.
-  // Opt-in: pinning a shared machine's cores is a policy decision the
-  // engine must not make silently.  Where the platform offers no affinity
-  // API this is a no-op with a one-line warning.  The calling thread is
-  // never pinned (it belongs to the application).
-  bool pin_workers = false;
 };
 
 }  // namespace gq

@@ -137,21 +137,19 @@ struct PickScratch {
 // cannot diverge the bit-identity twins.
 using robust_detail::median3;
 
-// Pooled Key-typed ping-pong buffers: median dynamics' representation for
-// short runs (see median_dynamics), where one intern would cost about as
+// Pooled Key-typed ping-pong buffers: the median rule's representation for
+// short runs (see median_rule_keys), where one intern would cost about as
 // much as the handful of rounds it speeds up.
 struct KeyPairScratch {
   std::vector<Key> a, b;
 
   void ensure(std::uint32_t n) {
-    if (a.size() < n) {
-      a.resize(n);
-      b.resize(n);
-    }
+    if (a.size() < n) a.resize(n);
+    if (b.size() < n) b.resize(n);
   }
 };
 
-// Sharded copy between the caller's key vector and the pooled Key buffers.
+// Sharded copy of a key span into a pooled Key buffer.
 void copy_keys(Engine& engine, std::span<const Key> from, std::span<Key> to) {
   engine.parallel_shards(
       [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
@@ -159,27 +157,24 @@ void copy_keys(Engine& engine, std::span<const Key> from, std::span<Key> to) {
       });
 }
 
-// The round mechanics of median dynamics, templated over the state
+// The round mechanics of the median rule, templated over the state
 // representation: T = std::uint32_t (interned rank lanes) or Key (pooled
 // AoS buffers).  Both run the same blocked draw/prefetch/commit structure
 // with identical per-node draw order and Metrics, so the representation is
-// unobservable.  Returns with *live pointing at the buffer holding the
-// final state (the ping-pong may end on either).
+// unobservable.  Returns the buffer holding the final state (the ping-pong
+// may end on either).
 template <typename T>
-RuntimeResult median_dynamics_rounds(
-    Engine& engine, std::span<T> cur, std::span<T> next,
-    std::span<std::uint32_t> first, std::span<std::uint32_t> second,
-    std::uint64_t iterations, std::uint64_t max_rounds,
-    std::uint64_t bits_per_message, const T** live) {
+const T* median_rule_rounds(Engine& engine, std::span<T> cur,
+                            std::span<T> next,
+                            std::span<std::uint32_t> first,
+                            std::span<std::uint32_t> second,
+                            std::uint64_t iterations, std::uint64_t bits) {
   const std::uint32_t block = engine.gather_block();
-  RuntimeResult out;
-  std::uint64_t completed = 0;
-  while (completed < iterations && out.rounds < max_rounds) {
+  for (std::uint64_t it = 0; it < iterations; ++it) {
     // First round of the iteration: the first sample.  Pure pick pass — no
     // gathers — so no blocking is needed; `cur` stays immutable until the
     // commit and doubles as the iteration-start snapshot.
     engine.begin_round();
-    ++out.rounds;
     engine.parallel_shards(
         [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
           std::uint64_t sent = 0;
@@ -193,24 +188,24 @@ RuntimeResult median_dynamics_rounds(
             first[v] = engine.sample_peer(v, stream);
             ++sent;
           }
-          local.record_messages(sent, bits_per_message);
+          local.record_messages(sent, bits);
         });
-    if (out.rounds >= max_rounds) break;  // half iteration: never committed
 
     // Second round: the second sample with the commit fused in, blocked —
     // per block the draws land first, then prefetches over both gather
-    // targets, then the median commit against warm lines.  A failed pull
-    // on either round forfeits the iteration's update, as in the protocol.
+    // targets, then the median commit against warm lines.  A node whose
+    // first pull failed has lost the iteration and skips its second pull,
+    // as in baselines/median_rule.cpp; a failed second pull also keeps the
+    // node's value.
     engine.begin_round();
-    ++out.rounds;
     engine.parallel_shards(
         [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
           std::uint64_t sent = 0;
           for (std::uint32_t b0 = begin; b0 < end; b0 += block) {
             const std::uint32_t b1 = std::min(b0 + block, end);
             for (std::uint32_t v = b0; v < b1; ++v) {
-              if (engine.node_fails(v)) {
-                ++local.failed_operations;
+              if (first[v] == Engine::kNoPeer || engine.node_fails(v)) {
+                if (first[v] != Engine::kNoPeer) ++local.failed_operations;
                 second[v] = Engine::kNoPeer;
                 continue;
               }
@@ -235,64 +230,60 @@ RuntimeResult median_dynamics_rounds(
               next[v] = median3(a, b, cur[v]);
             }
           }
-          local.record_messages(sent, bits_per_message);
+          local.record_messages(sent, bits);
         });
     std::swap(cur, next);
-    ++completed;
   }
-  out.all_finished = completed >= iterations;
-  *live = cur.data();
-  return out;
+  return cur.data();
 }
 
 }  // namespace
 
-RuntimeResult median_dynamics(Engine& engine, std::vector<Key>& state,
-                              std::uint64_t iterations,
-                              std::uint64_t max_rounds,
-                              std::uint64_t bits_per_message) {
+MedianRuleResult median_rule_keys(Engine& engine, std::span<const Key> keys,
+                                  const MedianRuleParams& params) {
   const std::uint32_t n = engine.size();
-  GQ_REQUIRE(state.size() == n, "one key per node required");
+  GQ_REQUIRE(keys.size() == n, "one key per node required");
 
-  RuntimeResult out;
-  if (iterations == 0) {
-    out.all_finished = true;
-    return out;
-  }
+  MedianRuleResult out;
+  out.iterations = median_rule_iterations(n, params);
+  out.rounds = 2 * out.iterations;
+  const std::uint64_t bits = key_bits(n);
   auto& picks = engine.scratch<PickScratch>();
   picks.ensure(n);
   const std::span<std::uint32_t> first = picks.p0.span(n);
   const std::span<std::uint32_t> second = picks.p1.span(n);
 
-  // Representation choice: median dynamics runs a caller-chosen iteration
-  // count that is often tiny (the scale benches run 2-3), and at n = 2^20
-  // a 3-iteration run on Key buffers costs about what the intern alone
-  // does.  Short runs therefore stay on pooled Key buffers, where the
-  // blocked prefetch still hides the gather latency; longer runs intern.
-  // The representation is unobservable (same draws, same commit rule, same
-  // Metrics), so the threshold is pure tuning.
+  // Representation choice: callers often run a tiny iteration count (the
+  // scale benches run 2-3), and at n = 2^20 a 3-iteration run on Key
+  // buffers costs about what the intern alone does.  Short runs therefore
+  // stay on pooled Key buffers, where the blocked prefetch still hides the
+  // gather latency; longer runs intern.  The representation is
+  // unobservable (same draws, same commit rule, same Metrics), so the
+  // threshold is pure tuning.
   constexpr std::uint64_t kInternMinIterations = 8;
-  if (iterations >= kInternMinIterations) {
+  if (out.iterations >= kInternMinIterations) {
     auto& lanes = engine.scratch<LaneScratch>();
-    lane_import(engine, state, lanes);
-    const std::uint32_t* live = nullptr;
-    out = median_dynamics_rounds<std::uint32_t>(
+    lane_import(engine, keys, lanes);
+    const std::uint32_t* live = median_rule_rounds<std::uint32_t>(
         engine, {lanes.lane_a.data(), n}, {lanes.lane_b.data(), n}, first,
-        second, iterations, max_rounds, bits_per_message, &live);
+        second, out.iterations, bits);
     lane_settle(lanes, std::span<const std::uint32_t>(live, n));
-    lane_export(engine, lanes, state);
+    out.outputs.resize(n);
+    lane_export(engine, lanes, out.outputs);
     return out;
   }
 
-  auto& keys = engine.scratch<KeyPairScratch>();
-  keys.ensure(n);
-  copy_keys(engine, state, {keys.a.data(), n});
-  const Key* live = nullptr;
-  out = median_dynamics_rounds<Key>(engine, {keys.a.data(), n},
-                                    {keys.b.data(), n}, first, second,
-                                    iterations, max_rounds, bits_per_message,
-                                    &live);
-  copy_keys(engine, {live, n}, state);
+  auto& buffers = engine.scratch<KeyPairScratch>();
+  buffers.ensure(n);
+  copy_keys(engine, keys, {buffers.a.data(), n});
+  const Key* live = median_rule_rounds<Key>(engine, {buffers.a.data(), n},
+                                            {buffers.b.data(), n}, first,
+                                            second, out.iterations, bits);
+  // Hand the live buffer to the caller instead of copying it out; the next
+  // short run regrows it.
+  std::vector<Key>& final_state =
+      live == buffers.a.data() ? buffers.a : buffers.b;
+  out.outputs = std::exchange(final_state, {});
   return out;
 }
 

@@ -25,7 +25,7 @@
 // same Metrics, at every gather_block value — which the engine test suite
 // pins at 1, 2, and 8 threads:
 //
-//   * median_dynamics         == MedianDynamicsProtocol via run_protocols
+//   * median_rule_keys        == baselines/median_rule ([DGM+11])
 //   * two_tournament          == core/two_tournament (Algorithm 1)
 //   * three_tournament        == core/three_tournament (Algorithm 2)
 //   * robust_two_tournament   == core/robust.cpp (Section 5.1)
@@ -58,25 +58,24 @@
 #include <span>
 #include <vector>
 
+#include "baselines/median_rule.hpp"
 #include "core/multi_pipeline.hpp"
 #include "core/robust_pipeline.hpp"
 #include "core/three_tournament.hpp"
 #include "core/two_tournament.hpp"
 #include "engine/engine.hpp"
-#include "runtime/protocol.hpp"
 #include "sim/key.hpp"
 
 namespace gq {
 
-// The [DGM+11] median dynamics as a batched kernel: `iterations` iterations
-// of two pull rounds each, committing median(own, a, b) when both samples
-// arrived (a failed pull forfeits the iteration's update).  Bit-identical
-// to driving MedianDynamicsProtocol instances through run_protocols with
-// the same (seed, failure model, max_rounds, bits_per_message).
-RuntimeResult median_dynamics(Engine& engine, std::vector<Key>& state,
-                              std::uint64_t iterations,
-                              std::uint64_t max_rounds,
-                              std::uint64_t bits_per_message);
+// The [DGM+11] median rule on the engine; see baselines/median_rule.hpp.
+// Each iteration is two pull rounds billed key_bits(n) per message; a node
+// commits median(own, a, b) when both samples arrived, and a node whose
+// first pull failed skips its second.  Accepts any FailureModel or
+// adversary.
+[[nodiscard]] MedianRuleResult median_rule_keys(Engine& engine,
+                                                std::span<const Key> keys,
+                                                const MedianRuleParams& params);
 
 // Algorithm 1 (2-TOURNAMENT) on the engine; see core/two_tournament.hpp.
 TwoTournamentOutcome two_tournament(Engine& engine, std::vector<Key>& state,

@@ -1,69 +1,13 @@
 #include "engine/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
-#include <vector>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "util/require.hpp"
 
 namespace gq {
 
-namespace {
-
-// The cores this process may actually run on, in id order.  Pinning must
-// cycle over THIS set, not 0..hardware_concurrency-1: under taskset or a
-// cgroup cpuset the allowed ids need not start at 0 or be contiguous, and
-// pinning to a forbidden core is rejected outright.  Returns empty where
-// the platform offers no affinity API.
-std::vector<unsigned> allowed_cpus() {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) != 0) return {};
-  std::vector<unsigned> cpus;
-  for (unsigned c = 0; c < CPU_SETSIZE; ++c) {
-    if (CPU_ISSET(c, &set)) cpus.push_back(c);
-  }
-  return cpus;
-#else
-  return {};
-#endif
-}
-
-// Pins `worker` (the i-th spawned worker, i >= 1 counting the caller as 0)
-// to one allowed core.  Workers cycle over cpus[1..] so the first allowed
-// core stays with the unpinned calling thread whenever there is room —
-// wrapping a pinned worker onto the caller's core would serialize dispatch
-// against that worker's shard work.  Best-effort by design: a failure must
-// degrade to the unpinned status quo, never to a dead engine.
-bool pin_worker_thread(std::thread& worker, unsigned index,
-                       const std::vector<unsigned>& cpus) {
-#if defined(__linux__)
-  if (cpus.empty()) return false;
-  const unsigned core =
-      cpus.size() > 1 ? cpus[1 + (index - 1) % (cpus.size() - 1)] : cpus[0];
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core, &set);
-  return pthread_setaffinity_np(worker.native_handle(), sizeof(set), &set) ==
-         0;
-#else
-  (void)worker;
-  (void)index;
-  (void)cpus;
-  return false;
-#endif
-}
-
-}  // namespace
-
-ThreadPool::ThreadPool(unsigned threads, bool pin_workers)
+ThreadPool::ThreadPool(unsigned threads)
     : threads_(threads != 0
                    ? threads
                    : std::max(1u, std::thread::hardware_concurrency())),
@@ -71,19 +15,6 @@ ThreadPool::ThreadPool(unsigned threads, bool pin_workers)
   workers_.reserve(threads_ - 1);
   for (unsigned i = 1; i < threads_; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-  if (pin_workers && !workers_.empty()) {
-    const std::vector<unsigned> cpus = allowed_cpus();
-    bool all_pinned = true;
-    for (unsigned i = 0; i < workers_.size(); ++i) {
-      all_pinned &= pin_worker_thread(workers_[i], i + 1, cpus);
-    }
-    if (!all_pinned) {
-      std::fprintf(stderr,
-                   "gq::ThreadPool: pin_workers requested but thread "
-                   "affinity is unsupported or was rejected for some "
-                   "workers; placement may be partial or unpinned\n");
-    }
   }
 }
 

@@ -47,15 +47,8 @@ class ThreadPool {
   using RawTask = void (*)(void* ctx, std::size_t index);
 
   // `threads` >= 1 is the total parallelism including the calling thread;
-  // 0 picks std::thread::hardware_concurrency().  With `pin_workers` each
-  // spawned worker is pinned to one core of the process's allowed CPU set
-  // (taskset/cgroup masks respected) — workers cycle over the allowed
-  // cores beyond the first, leaving that first core to the unpinned
-  // calling thread — so first-touch page placement survives scheduler
-  // migration.  Platforms
-  // without an affinity API warn once and proceed unpinned; the calling
-  // thread is never pinned (it belongs to the application, not the pool).
-  explicit ThreadPool(unsigned threads, bool pin_workers = false);
+  // 0 picks std::thread::hardware_concurrency().
+  explicit ThreadPool(unsigned threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

@@ -104,15 +104,23 @@ class AdversaryStrategy {
 
   // Non-null iff this strategy is equivalent to an oblivious FailureModel.
   // Executors absorb the returned model into their own failure model when
-  // the adversary is installed (see Network::set_adversary), which is what
-  // makes FailureModel the exact special case: fan-out sizing and failure
-  // coins become indistinguishable from constructing with the model.
+  // the adversary is installed (see ExecutorCore::set_adversary), which is
+  // what makes FailureModel the exact special case: fan-out sizing and
+  // failure coins become indistinguishable from constructing with the model.
   [[nodiscard]] virtual const FailureModel* oblivious_model() const noexcept {
     return nullptr;
   }
 
+  // Whether fault() can ever return kCrash/kRecover.  A property of the
+  // strategy, not an option: only strategies that can crash pay the
+  // node-lifecycle probes of the adversarial pipelines (the node's own
+  // probe ahead of the failure coin, the pulled peer's down check, and the
+  // end-of-block served check).  fault() is pure, so skipping the probes
+  // for a strategy that never crashes cannot change a transcript.
+  [[nodiscard]] virtual bool may_crash() const noexcept { return false; }
+
   // Called by the executor when the adversary is installed (and again on
-  // Engine::reset_stream).  Strategies derive all their randomness from this
+  // reset_stream).  Strategies derive all their randomness from this
   // seed so transcripts are reproducible.
   virtual void bind(std::uint64_t seed, std::uint32_t n) {
     seed_ = seed;
@@ -271,6 +279,7 @@ class CrashChurnAdversary final : public AdversaryStrategy {
     return "crash_churn";
   }
   [[nodiscard]] std::uint64_t budget_per_round() const noexcept override;
+  [[nodiscard]] bool may_crash() const noexcept override { return true; }
   void bind(std::uint64_t seed, std::uint32_t n) override;
   [[nodiscard]] Fault fault(std::uint32_t node,
                             std::uint64_t round) const override;

@@ -1,13 +1,12 @@
 #include "sim/network.hpp"
 
-#include "sim/key.hpp"
-
 namespace gq {
 
 std::vector<std::uint32_t> Network::pull_round(std::uint64_t bits_per_message) {
   begin_round();
-  std::vector<std::uint32_t> peers(n_, kNoPeer);
-  for (std::uint32_t v = 0; v < n_; ++v) {
+  const std::uint32_t n = size();
+  std::vector<std::uint32_t> peers(n, kNoPeer);
+  for (std::uint32_t v = 0; v < n; ++v) {
     if (node_fails(v)) {
       record_failed_operation();
       continue;
@@ -17,10 +16,6 @@ std::vector<std::uint32_t> Network::pull_round(std::uint64_t bits_per_message) {
     record_message(bits_per_message);
   }
   return peers;
-}
-
-std::uint64_t Network::default_message_bits() const noexcept {
-  return gq::default_message_bits(n_);
 }
 
 }  // namespace gq

@@ -1,7 +1,18 @@
 // Message codecs for every payload the protocols exchange.  Each codec's
-// encoded_bits() is the exact wire size; tests assert these stay within the
-// (deliberately conservative) sizes the simulator's Metrics account, so the
-// round/bit tables in the benches are upper bounds on real traffic.
+// encoded_bits() is the exact wire size.  No execution path encodes
+// through them: Metrics bill message sizes analytically, and the two
+// accountings differ.
+//   * Keys encode to key_bits(n) + 10 bits: the 2-bit kind tag and the
+//     8-bit iteration field of the duplication tag are not billed.  So
+//     Metrics bill every key message 10 bits short of its encoding (about
+//     11% at n = 2^14, where key_bits is 92), and every pivot message,
+//     which carries a key, by the same 10 bits.
+//   * Tokens encode to key_bits(n) + 16 bits and are billed
+//     key_bits(n) + bit_width(multiplier), so they are billed short too
+//     unless the multiplier reaches 2^15.
+//   * Push-sum messages encode to exactly what they are billed.
+// The round/bit tables in the benches are therefore the model's analytic
+// costs, not upper bounds on this wire format.
 #pragma once
 
 #include <cstdint>

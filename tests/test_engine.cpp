@@ -1,16 +1,19 @@
 // Determinism tests for the sharded parallel engine: the engine must
 // produce bit-identical transcripts, states, and Metrics to the sequential
-// Network/runtime path for the same seed, at every thread count, with and
-// without a failure model.
+// Network path for the same seed, at every thread count, with and without
+// a failure model.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "agg/rank_count.hpp"
 #include "agg/spread.hpp"
+#include "baselines/median_rule.hpp"
 #include "core/approx_quantile.hpp"
 #include "core/exact_quantile.hpp"
 #include "core/own_rank.hpp"
@@ -19,12 +22,10 @@
 #include "engine/engine.hpp"
 #include "engine/kernels.hpp"
 #include "engine/pipelines.hpp"
-#include "engine/runtime_adapter.hpp"
 #include "engine/scatter.hpp"
 #include "engine/thread_pool.hpp"
-#include "runtime/protocol.hpp"
+#include "sim/adversary.hpp"
 #include "sim/network.hpp"
-#include "wire/codec.hpp"
 #include "workload/distributions.hpp"
 #include "workload/tiebreak.hpp"
 
@@ -163,92 +164,44 @@ TEST(Engine, DefaultMessageBitsMatchesNetwork) {
   EXPECT_EQ(engine.default_message_bits(), net.default_message_bits());
 }
 
-std::vector<std::unique_ptr<NodeProtocol>> make_median_protocols(
-    std::span<const Key> keys, std::uint64_t iterations) {
-  std::vector<std::unique_ptr<NodeProtocol>> out;
-  out.reserve(keys.size());
-  for (const Key& k : keys) {
-    out.push_back(std::make_unique<MedianDynamicsProtocol>(k, iterations));
-  }
-  return out;
-}
-
-std::vector<Key> protocol_states(
-    std::span<const std::unique_ptr<NodeProtocol>> protos) {
-  std::vector<Key> out;
-  out.reserve(protos.size());
-  for (const auto& p : protos) {
-    out.push_back(static_cast<MedianDynamicsProtocol*>(p.get())->state());
-  }
-  return out;
-}
-
-TEST(EngineAdapter, BitIdenticalToSequentialRuntime) {
+// The median rule ([DGM+11]) on the engine must reproduce the sequential
+// baseline exactly — outputs, rounds and Metrics — failure-free and under
+// a failure model (where a node whose first pull failed skips its second),
+// at 3 iterations (pooled Key buffers) and 16 (interned rank lanes; see the
+// threshold in median_rule_keys), at gather blocks that straddle shard
+// boundaries (3) and span several shards (256).
+TEST(EngineKernels, MedianRuleMatchesBaseline) {
   constexpr std::uint32_t kN = 2048;
-  constexpr std::uint64_t kSeed = 23;
-  constexpr std::uint64_t kIterations = 20;
+  constexpr std::uint64_t kSeed = 137;
   const auto keys =
-      make_keys(generate_values(Distribution::kUniformReal, kN, 3));
-  const std::uint64_t bits = KeyCodec(kN).encoded_bits();
+      make_keys(generate_values(Distribution::kGaussian, kN, 51));
 
-  for (const bool with_failures : {false, true}) {
-    const FailureModel fm =
-        with_failures ? FailureModel::uniform(0.3) : FailureModel{};
-
-    Network net(kN, kSeed, fm);
-    auto seq_protos = make_median_protocols(keys, kIterations);
-    const RuntimeResult seq = run_protocols(net, seq_protos, 1000, bits);
-    const std::vector<Key> seq_states = protocol_states(seq_protos);
-
-    for (unsigned threads : kThreadCounts) {
-      Engine engine(kN, kSeed, fm, config_for(threads));
-      auto protos = make_median_protocols(keys, kIterations);
-      const RuntimeResult par = run_protocols(engine, protos, 1000, bits);
-      EXPECT_EQ(par.rounds, seq.rounds);
-      EXPECT_EQ(par.all_finished, seq.all_finished);
-      EXPECT_EQ(protocol_states(protos), seq_states)
-          << "threads=" << threads << " failures=" << with_failures;
-      EXPECT_EQ(engine.metrics(), net.metrics())
-          << "threads=" << threads << " failures=" << with_failures;
-    }
-  }
-}
-
-TEST(EngineKernels, MedianDynamicsMatchesProtocolPath) {
-  constexpr std::uint32_t kN = 2048;
-  constexpr std::uint64_t kSeed = 57;
-  constexpr std::uint64_t kIterations = 16;
-  const auto keys =
-      make_keys(generate_values(Distribution::kGaussian, kN, 5));
-  const std::uint64_t bits = KeyCodec(kN).encoded_bits();
-
-  // max_rounds both above and below 2*iterations (the odd cap ends on a
-  // half iteration whose messages must still be accounted).
-  for (const std::uint64_t max_rounds : {std::uint64_t{1000},
-                                         std::uint64_t{2 * kIterations},
-                                         std::uint64_t{21}}) {
+  for (const std::uint64_t iterations : {std::uint64_t{3},
+                                         std::uint64_t{16}}) {
     for (const bool with_failures : {false, true}) {
       const FailureModel fm =
-          with_failures ? FailureModel::uniform(0.2) : FailureModel{};
-
+          with_failures ? FailureModel::uniform(0.25) : FailureModel{};
+      const MedianRuleParams params{.iterations = iterations};
       Network net(kN, kSeed, fm);
-      auto protos = make_median_protocols(keys, kIterations);
-      const RuntimeResult seq = run_protocols(net, protos, max_rounds, bits);
-      const std::vector<Key> seq_states = protocol_states(protos);
+      const MedianRuleResult seq = median_rule_keys(net, keys, params);
+      ASSERT_EQ(seq.rounds, 2 * iterations);
 
       for (unsigned threads : kThreadCounts) {
-        Engine engine(kN, kSeed, fm, config_for(threads));
-        std::vector<Key> state(keys.begin(), keys.end());
-        const RuntimeResult ker =
-            median_dynamics(engine, state, kIterations, max_rounds, bits);
-        EXPECT_EQ(ker.rounds, seq.rounds) << "max_rounds=" << max_rounds;
-        EXPECT_EQ(ker.all_finished, seq.all_finished);
-        EXPECT_EQ(state, seq_states)
-            << "threads=" << threads << " failures=" << with_failures
-            << " max_rounds=" << max_rounds;
-        EXPECT_EQ(engine.metrics(), net.metrics())
-            << "threads=" << threads << " failures=" << with_failures
-            << " max_rounds=" << max_rounds;
+        for (const std::uint32_t block : {3u, 256u}) {
+          Engine engine(kN, kSeed, fm,
+                        EngineConfig{.threads = threads,
+                                     .shard_size = 192,
+                                     .gather_block = block});
+          const MedianRuleResult par = median_rule_keys(engine, keys, params);
+          EXPECT_EQ(par.iterations, seq.iterations);
+          EXPECT_EQ(par.rounds, seq.rounds);
+          EXPECT_EQ(par.outputs, seq.outputs)
+              << "threads=" << threads << " block=" << block
+              << " iterations=" << iterations << " failures=" << with_failures;
+          EXPECT_EQ(engine.metrics(), net.metrics())
+              << "threads=" << threads << " block=" << block
+              << " iterations=" << iterations << " failures=" << with_failures;
+        }
       }
     }
   }
@@ -809,47 +762,6 @@ TEST(EngineKernels, GatherBlockSweepMatchesCoreForEveryKernel) {
   }
 }
 
-// Same sweep for median dynamics under a failure model, where the blocked
-// commit must handle kNoPeer picks (failed pulls) in both gather slots.
-// 3 iterations run the short-run Key-buffer representation, 8 the interned
-// lanes (see the threshold in median_dynamics); both must reproduce the
-// sequential protocol path exactly.
-TEST(EngineKernels, MedianDynamicsBlockSweepUnderFailures) {
-  constexpr std::uint32_t kN = 2048;
-  constexpr std::uint64_t kSeed = 137;
-  const auto keys =
-      make_keys(generate_values(Distribution::kGaussian, kN, 51));
-  const std::uint64_t bits = KeyCodec(kN).encoded_bits();
-  const FailureModel fm = FailureModel::uniform(0.25);
-
-  for (const std::uint64_t iterations : {std::uint64_t{3},
-                                         std::uint64_t{8}}) {
-    Network net(kN, kSeed, fm);
-    auto protos = make_median_protocols(keys, iterations);
-    const RuntimeResult seq = run_protocols(net, protos, 1000, bits);
-    const std::vector<Key> seq_states = protocol_states(protos);
-
-    for (unsigned threads : kThreadCounts) {
-      for (const std::uint32_t block : {3u, 256u}) {
-        Engine engine(kN, kSeed, fm,
-                      EngineConfig{.threads = threads,
-                                   .shard_size = 192,
-                                   .gather_block = block});
-        std::vector<Key> state(keys.begin(), keys.end());
-        const RuntimeResult ker =
-            median_dynamics(engine, state, iterations, 1000, bits);
-        EXPECT_EQ(ker.rounds, seq.rounds);
-        EXPECT_EQ(state, seq_states) << "threads=" << threads
-                                     << " block=" << block
-                                     << " iterations=" << iterations;
-        EXPECT_EQ(engine.metrics(), net.metrics())
-            << "threads=" << threads << " block=" << block
-            << " iterations=" << iterations;
-      }
-    }
-  }
-}
-
 // Oversized final sampling (K above the kernels' stack-buffer bound, 64)
 // routes the per-shard pick/sample slices through the pooled wide lane and
 // the K-median through nth_element, and must stay bit-identical.
@@ -905,32 +817,6 @@ TEST(EngineKernels, InternedSessionDetectsStateMutationBetweenCalls) {
   }
 }
 
-// Opt-in worker pinning is a placement policy, never an observable one:
-// results and Metrics must be bit-identical with and without it, and a
-// pinned engine must work on any machine (pinning failures degrade to a
-// warning, not an error).
-TEST(Engine, PinWorkersIsObservableNeutral) {
-  constexpr std::uint32_t kN = 1500;
-  constexpr std::uint64_t kSeed = 149;
-  const auto keys =
-      make_keys(generate_values(Distribution::kUniformReal, kN, 59));
-
-  Network net(kN, kSeed);
-  std::vector<Key> seq_state(keys.begin(), keys.end());
-  (void)two_tournament(net, seq_state, 0.5, 0.1);
-
-  for (unsigned threads : kThreadCounts) {
-    Engine engine(kN, kSeed, FailureModel{},
-                  EngineConfig{.threads = threads,
-                               .shard_size = 192,
-                               .pin_workers = true});
-    std::vector<Key> state(keys.begin(), keys.end());
-    (void)two_tournament(engine, state, 0.5, 0.1);
-    EXPECT_EQ(state, seq_state) << "threads=" << threads;
-    EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
-  }
-}
-
 // Thread count and shard size are pure performance knobs: sweeping both
 // must not change a single bit of the result.
 TEST(Engine, ShardSizeIsNotObservable) {
@@ -943,6 +829,125 @@ TEST(Engine, ShardSizeIsNotObservable) {
     EXPECT_EQ(coarse.pull_round(24), fine.pull_round(24));
   }
   EXPECT_EQ(coarse.metrics(), fine.metrics());
+}
+
+// ---- the executor core (sim/executor.hpp) ---------------------------------
+//
+// Network and Engine take their fault sources, stream rebasing and
+// per-round primitives from one ExecutorCore.  These cases pin that
+// contract once for both executors, the Engine at 1, 2 and 8 threads.
+
+template <typename Exec>
+Exec make_executor(std::uint32_t n, std::uint64_t seed, unsigned threads,
+                   FailureModel fm = FailureModel{}) {
+  if constexpr (std::is_same_v<Exec, Engine>) {
+    return Engine(n, seed, std::move(fm), config_for(threads));
+  } else {
+    return Network(n, seed, std::move(fm));
+  }
+}
+
+template <typename Exec>
+std::span<const unsigned> thread_counts() {
+  static constexpr unsigned kSequential[] = {1};
+  if constexpr (std::is_same_v<Exec, Engine>) return kThreadCounts;
+  return kSequential;
+}
+
+template <typename Exec>
+class ExecutorCoreTest : public ::testing::Test {};
+using Executors = ::testing::Types<Network, Engine>;
+TYPED_TEST_SUITE(ExecutorCoreTest, Executors);
+
+// reset_stream(s) after a run with an installed adversary re-binds the
+// adversary, so the next run equals one on a fresh executor seeded s with
+// the same adversary: same outputs, and a Metrics delta equal to the fresh
+// executor's totals.  Crash churn draws its victims from the bind seed, so
+// a stale binding would crash different nodes.
+TYPED_TEST(ExecutorCoreTest, ResetStreamMatchesFreshExecutor) {
+  constexpr std::uint32_t kN = 1024;
+  const auto keys =
+      make_keys(generate_values(Distribution::kUniformReal, kN, 67));
+  const MedianRuleParams params{.iterations = 10};
+  const CrashChurnAdversary::Config churn{.crashes = 96,
+                                          .first_round = 1,
+                                          .crash_window = 16,
+                                          .down_rounds = 4,
+                                          .strategy_seed = 5};
+  for (const unsigned threads : thread_counts<TypeParam>()) {
+    CrashChurnAdversary warm_adversary(churn);
+    TypeParam warm = make_executor<TypeParam>(kN, 3, threads);
+    warm.set_adversary(&warm_adversary);
+    (void)median_rule_keys(warm, keys, params);
+    warm.reset_stream(11);
+    EXPECT_EQ(warm.seed(), 11u);
+    EXPECT_EQ(warm.round(), 0u);
+    const Metrics before = warm.metrics();
+    const MedianRuleResult rerun = median_rule_keys(warm, keys, params);
+
+    CrashChurnAdversary cold_adversary(churn);
+    TypeParam cold = make_executor<TypeParam>(kN, 11, threads);
+    cold.set_adversary(&cold_adversary);
+    const MedianRuleResult fresh = median_rule_keys(cold, keys, params);
+
+    EXPECT_GT(cold.metrics().failed_operations, 0u);  // the adversary acted
+    EXPECT_EQ(rerun.outputs, fresh.outputs) << "threads=" << threads;
+    EXPECT_EQ(warm.metrics().since(before), cold.metrics())
+        << "threads=" << threads;
+    EXPECT_EQ(warm.round(), cold.round());
+  }
+}
+
+// An oblivious adversary's drop model is absorbed into an executor that
+// has no failure model — the run is then the one a model-constructed
+// executor produces — and never overrides a model the executor already
+// has.
+TYPED_TEST(ExecutorCoreTest, ObliviousAbsorbedOnlyWithoutFailureModel) {
+  constexpr std::uint32_t kN = 512;
+  const auto keys =
+      make_keys(generate_values(Distribution::kUniformReal, kN, 71));
+  const MedianRuleParams params{.iterations = 6};
+  ObliviousAdversary oblivious(FailureModel::uniform(0.3));
+  for (const unsigned threads : thread_counts<TypeParam>()) {
+    TypeParam bare = make_executor<TypeParam>(kN, 7, threads);
+    bare.set_adversary(&oblivious);
+    EXPECT_FALSE(bare.failures().never_fails());
+    EXPECT_EQ(bare.failures().max_probability(), 0.3);
+    TypeParam modelled = make_executor<TypeParam>(
+        kN, 7, threads, FailureModel::uniform(0.3));
+    EXPECT_EQ(median_rule_keys(bare, keys, params).outputs,
+              median_rule_keys(modelled, keys, params).outputs)
+        << "threads=" << threads;
+    EXPECT_EQ(bare.metrics(), modelled.metrics()) << "threads=" << threads;
+
+    TypeParam own = make_executor<TypeParam>(kN, 7, threads,
+                                             FailureModel::uniform(0.1));
+    own.set_adversary(&oblivious);
+    EXPECT_EQ(own.failures().max_probability(), 0.1);
+  }
+}
+
+// faultless() is false while either fault source is installed: a failure
+// model, or an adversary (which, unless oblivious, leaves the failure model
+// untouched).  Uninstalling the adversary makes the executor faultless
+// again.
+TYPED_TEST(ExecutorCoreTest, FaultlessTracksBothFaultSources) {
+  constexpr std::uint32_t kN = 64;
+  EclipseAdversary eclipse(0, 8);
+  for (const unsigned threads : thread_counts<TypeParam>()) {
+    TypeParam exec = make_executor<TypeParam>(kN, 1, threads);
+    EXPECT_TRUE(exec.faultless());
+    exec.set_adversary(&eclipse);
+    EXPECT_FALSE(exec.faultless());
+    EXPECT_TRUE(exec.failures().never_fails());
+    EXPECT_EQ(exec.adversary(), &eclipse);
+    exec.set_adversary(nullptr);
+    EXPECT_TRUE(exec.faultless());
+
+    TypeParam modelled = make_executor<TypeParam>(kN, 1, threads,
+                                                  FailureModel::uniform(0.1));
+    EXPECT_FALSE(modelled.faultless());
+  }
 }
 
 }  // namespace

@@ -169,8 +169,8 @@ TEST(TokenCodecTest, RoundTripAndSize) {
     EXPECT_EQ(back.key, t.key);
     EXPECT_EQ(back.weight, t.weight);
   }
-  // Token accounting in the simulator (key_bits + 64) dominates the wire
-  // encoding (key wire bits + 6).
+  // The wire token (key wire bits + a 6-bit weight exponent) fits a key
+  // plus one 64-bit weight word.
   EXPECT_LE(codec.encoded_bits(), key_bits(n) + 64);
 }
 
