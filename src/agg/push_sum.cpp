@@ -8,9 +8,6 @@
 namespace gq {
 namespace {
 
-// A push-sum message carries two reals (value mass, weight mass).
-constexpr std::uint64_t kPushSumMessageBits = push_sum_message_bits(1);
-
 std::uint64_t ceil_log2(std::uint64_t n) {
   return static_cast<std::uint64_t>(std::bit_width(n - 1));
 }
@@ -37,52 +34,19 @@ std::uint64_t push_sum_rounds_for_exact(const Network& net) {
   return push_sum_rounds_for_exact(net.size(), net.failures());
 }
 
-std::uint64_t push_sum_rounds_default(std::uint32_t n,
-                                      const FailureModel& failures) {
-  return scale_for_failures(failures, 3 * ceil_log2(n) + 20);
-}
-
-std::uint64_t push_sum_rounds_default(const Network& net) {
-  return push_sum_rounds_default(net.size(), net.failures());
-}
-
 PushSumResult push_sum_average(Network& net, std::span<const double> x,
                                std::uint64_t rounds) {
   const std::uint32_t n = net.size();
   GQ_REQUIRE(x.size() == n, "one input value per node required");
-  if (rounds == 0) rounds = push_sum_rounds_default(net);
-
-  std::vector<double> s(x.begin(), x.end());
-  std::vector<double> w(n, 1.0);
-  std::vector<double> s_in(n), w_in(n);
-
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    const std::vector<std::uint32_t> dests =
-        net.push_round(kPushSumMessageBits);
-    std::fill(s_in.begin(), s_in.end(), 0.0);
-    std::fill(w_in.begin(), w_in.end(), 0.0);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const std::uint32_t d = dests[v];
-      if (d == Network::kNoPeer) continue;  // failed: keeps whole pair
-      s[v] *= 0.5;
-      w[v] *= 0.5;
-      s_in[d] += s[v];
-      w_in[d] += w[v];
-    }
-    for (std::uint32_t v = 0; v < n; ++v) {
-      s[v] += s_in[v];
-      w[v] += w_in[v];
-    }
-  }
+  std::vector<std::array<double, 1>> lanes(n);
+  for (std::uint32_t v = 0; v < n; ++v) lanes[v][0] = x[v];
+  const MultiPushSumResult<1> sum = push_sum_average_multi<1>(
+      net, std::span<const std::array<double, 1>>(lanes), rounds);
 
   PushSumResult out;
-  out.rounds = rounds;
+  out.rounds = sum.rounds;
   out.estimates.resize(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    // w_v > 0 always: a node keeps at least half of its own weight each
-    // round, so w_v >= 2^-rounds > 0.
-    out.estimates[v] = s[v] / w[v];
-  }
+  for (std::uint32_t v = 0; v < n; ++v) out.estimates[v] = sum.estimates[v][0];
   return out;
 }
 

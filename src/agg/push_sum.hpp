@@ -30,19 +30,14 @@ struct PushSumResult {
 
 // Number of rounds after which every node's estimate has relative error
 // below roughly n^-3 w.h.p. in the failure-free model; scaled by 1/(1-mu)
-// under failures.  Used as the default by the helpers below.  The
-// (n, failures) overloads are the pure round-schedule logic shared with the
-// parallel engine's batched counting kernels — both executors must derive
-// identical schedules or their Metrics drift apart.
+// under failures.  The one push-sum schedule: the default of every helper
+// below and of the counting entry points.  The (n, failures) overload is
+// the pure round-schedule logic shared with the parallel engine's batched
+// counting kernels — both executors must derive identical schedules or
+// their Metrics drift apart.
 [[nodiscard]] std::uint64_t push_sum_rounds_for_exact(
     std::uint32_t n, const FailureModel& failures);
 [[nodiscard]] std::uint64_t push_sum_rounds_for_exact(const Network& net);
-
-// Shorter default for applications that only need a constant-factor
-// approximation of an average.
-[[nodiscard]] std::uint64_t push_sum_rounds_default(
-    std::uint32_t n, const FailureModel& failures);
-[[nodiscard]] std::uint64_t push_sum_rounds_default(const Network& net);
 
 // A push-sum message carries the value masses plus one weight word; the
 // D-dimensional protocol sends D+1 reals.  Shared with the engine kernels.
@@ -51,8 +46,10 @@ struct PushSumResult {
   return 64 * (dims + 1);
 }
 
-// Runs push-sum for `rounds` rounds (0 = push_sum_rounds_default) and
+// Runs push-sum for `rounds` rounds (0 = push_sum_rounds_for_exact) and
 // returns every node's estimate of avg(x).  x.size() must equal net.size().
+// The scalar case of push_sum_average_multi below, which is bit-identical
+// lane by lane.
 [[nodiscard]] PushSumResult push_sum_average(Network& net,
                                              std::span<const double> x,
                                              std::uint64_t rounds = 0);
@@ -79,7 +76,7 @@ MultiPushSumResult<D> push_sum_average_multi(
     std::uint64_t rounds = 0) {
   const std::uint32_t n = net.size();
   GQ_REQUIRE(x.size() == n, "one input vector per node required");
-  if (rounds == 0) rounds = push_sum_rounds_default(net);
+  if (rounds == 0) rounds = push_sum_rounds_for_exact(net);
   const std::uint64_t bits = push_sum_message_bits(D);
 
   std::vector<std::array<double, D>> s(x.begin(), x.end());

@@ -3,55 +3,14 @@
 // pinned against (tests/test_adversary.cpp).
 #include "core/adversarial.hpp"
 
-#include <cstdint>
-
-#include "sim/metrics.hpp"
 #include "workload/tiebreak.hpp"
 
 namespace gq {
-namespace {
-
-struct NetworkAdversarialOps {
-  Network& net;
-
-  [[nodiscard]] std::uint32_t size() const { return net.size(); }
-  [[nodiscard]] std::uint64_t seed() const { return net.seed(); }
-  [[nodiscard]] const FailureModel& failures() const {
-    return net.failures();
-  }
-  [[nodiscard]] AdversaryStrategy* adversary() const {
-    return net.adversary();
-  }
-  [[nodiscard]] const Metrics& metrics() const { return net.metrics(); }
-  [[nodiscard]] std::uint64_t round() const { return net.round(); }
-
-  void advance_rounds(std::uint32_t k) {
-    for (std::uint32_t i = 0; i < k; ++i) (void)net.begin_round();
-  }
-
-  // Sequential per-node fold: one local accumulator, folded into the run
-  // accounting afterwards — the same fragments the engine shards produce,
-  // merged in the same (node) order.
-  template <typename Fn>
-  void for_each_node(Fn&& fn) {
-    Metrics local;
-    for (std::uint32_t v = 0; v < net.size(); ++v) fn(v, local);
-    net.merge_metrics(local);
-  }
-
-  AdversarialQuantileResult quantile(std::span<const Key> keys,
-                                     const AdversarialQuantileParams& params) {
-    return adversarial_quantile_keys(net, keys, params);
-  }
-};
-
-}  // namespace
 
 AdversarialQuantileResult adversarial_quantile_keys(
     Network& net, std::span<const Key> keys,
     const AdversarialQuantileParams& params) {
-  NetworkAdversarialOps ops{net};
-  return adversary_detail::adversarial_quantile_impl(ops, keys, params);
+  return adversary_detail::adversarial_quantile_impl(net, keys, params);
 }
 
 AdversarialQuantileResult adversarial_quantile(
@@ -65,8 +24,7 @@ AdversarialMeanResult adversarial_mean(Network& net,
                                        std::span<const double> values,
                                        const AdversarialMeanParams& params) {
   const auto keys = make_keys(values);
-  NetworkAdversarialOps ops{net};
-  return adversary_detail::adversarial_mean_impl(ops, values, keys, params);
+  return adversary_detail::adversarial_mean_impl(net, values, keys, params);
 }
 
 }  // namespace gq

@@ -24,32 +24,20 @@
 // how much adversarial pressure the run absorbed.
 //
 // Shared-control-flow pattern (core/exact_pipeline.hpp precedent): ONE
-// template drives both executors through a duck-typed Ops provider —
-// core/adversarial.cpp instantiates it over the sequential Network,
-// engine/adversarial_kernels.cpp over the parallel Engine.  The per-node
-// fold (fault application, delay mailbox, group filtering, commit rules)
-// lives here as plain functions both Ops call, so the two paths cannot
-// drift: bit-identity at 1/2/8 threads is pinned by tests/test_adversary.cpp.
+// template drives both executors — core/adversarial.cpp instantiates it
+// over the sequential Network, engine/adversarial_kernels.cpp over the
+// parallel Engine.  The template uses only executor members:
+// size / seed / round / metrics / failures / adversary, advance_rounds(k)
+// to open a fused pull block, and for_each_node(fn), which runs
+// fn(v, Metrics& local) for every node and folds the `local` fragments
+// deterministically (Network: one accumulator; Engine: shard accumulators
+// merged in shard order).  The per-node fold (fault application, delay
+// mailbox, group filtering, commit rules) lives here as plain functions,
+// so the two paths cannot drift: bit-identity at 1/2/8 threads is pinned
+// by tests/test_adversary.cpp.
 //
-// The Ops concept:
-//   uint32_t size();
-//   uint64_t seed();
-//   const FailureModel& failures();
-//   AdversaryStrategy* adversary();      // nullptr when none installed
-//   const Metrics& metrics();
-//   uint64_t round();                    // current round counter
-//   void advance_rounds(uint32_t k);     // k x begin_round()
-//   template <typename Fn> void for_each_node(Fn&& fn);
-//       // runs fn(v, Metrics& local) for every node v; `local` fragments
-//       // are folded into the executor Metrics deterministically (Network:
-//       // one accumulator; Engine: shard accumulators merged in shard
-//       // order).  fn must write only node-v slots.
-//   AdversarialQuantileResult quantile(span<const Key>,
-//                                      const AdversarialQuantileParams&);
-//       // re-entry for the mean pipeline's clip-bound sub-runs
-//
-// Unlike the interned robust kernels (engine/kernels.cpp), the engine Ops
-// run on plain pooled Key buffers: corrupt payloads are arbitrary values
+// Unlike the interned robust kernels (engine/kernels.cpp), the engine
+// folds run on plain Key buffers: corrupt payloads are arbitrary values
 // the intern table has never seen, so a rank-lane representation cannot
 // hold them.
 #pragma once
@@ -340,17 +328,17 @@ struct GroupCollector {
 // orchestrating thread at identical points by both executors (it is part of
 // this shared control flow), which is what keeps adaptive strategies'
 // target choices — and therefore transcripts — bit-identical.
-template <typename Ops>
-inline void observe_block(Ops& ops, std::uint64_t first_round,
+template <typename Exec>
+inline void observe_block(Exec& exec, std::uint64_t first_round,
                           std::uint32_t rounds, std::span<const Key> keys,
                           std::span<const double> values) {
-  AdversaryStrategy* adversary = ops.adversary();
+  AdversaryStrategy* adversary = exec.adversary();
   if (adversary == nullptr) return;
   RoundWindow window;
   window.first_round = first_round;
   window.rounds = rounds;
-  window.n = ops.size();
-  window.seed = ops.seed();
+  window.n = exec.size();
+  window.seed = exec.seed();
   window.keys = keys;
   window.values = values;
   adversary->observe(window);
@@ -384,23 +372,23 @@ inline QualityReport make_quality(const Metrics& delta, std::uint64_t served,
 // groups both produced a filtered sample run the tournament commit; anyone
 // short keeps their value (the filtered analogue of "turning bad" — with no
 // good flags, keeping the value is the conservative commit).
-template <typename Ops>
-inline void filtered_two_iteration(Ops& ops, std::vector<Key>& state,
+template <typename Exec>
+inline void filtered_two_iteration(Exec& exec, std::vector<Key>& state,
                                    std::vector<Key>& next, std::uint32_t g,
                                    double delta, bool suppress_high) {
   GQ_SPAN("adversarial/filtered_two");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = exec.size();
   const std::uint32_t pulls = 2 * g;
-  const std::uint64_t base = ops.round() + 1;
+  const std::uint64_t base = exec.round() + 1;
   const std::uint64_t commit_round = base + pulls;
-  observe_block(ops, base, pulls + 1, state, {});
-  ops.advance_rounds(pulls + 1);
+  observe_block(exec, base, pulls + 1, state, {});
+  exec.advance_rounds(pulls + 1);
   const std::uint64_t bits = key_bits(n);
   const Key* snapshot = state.data();
-  const FailureModel& failures = ops.failures();
-  const AdversaryStrategy* adversary = ops.adversary();
-  const std::uint64_t seed = ops.seed();
-  ops.for_each_node([&](std::uint32_t v, Metrics& local) {
+  const FailureModel& failures = exec.failures();
+  const AdversaryStrategy* adversary = exec.adversary();
+  const std::uint64_t seed = exec.seed();
+  exec.for_each_node([&](std::uint32_t v, Metrics& local) {
     GroupCollector<Key> groups(2, g);
     const std::uint64_t sent = walk_faulted_pulls<Key>(
         seed, base, pulls, v, n, failures, adversary,
@@ -428,21 +416,21 @@ inline void filtered_two_iteration(Ops& ops, std::vector<Key>& state,
 
 // One filtered 3-TOURNAMENT iteration: 3g pull rounds in three groups; the
 // median-of-three commit draws no randomness, so there is no commit round.
-template <typename Ops>
-inline void filtered_three_iteration(Ops& ops, std::vector<Key>& state,
+template <typename Exec>
+inline void filtered_three_iteration(Exec& exec, std::vector<Key>& state,
                                      std::vector<Key>& next, std::uint32_t g) {
   GQ_SPAN("adversarial/filtered_three");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = exec.size();
   const std::uint32_t pulls = 3 * g;
-  const std::uint64_t base = ops.round() + 1;
-  observe_block(ops, base, pulls, state, {});
-  ops.advance_rounds(pulls);
+  const std::uint64_t base = exec.round() + 1;
+  observe_block(exec, base, pulls, state, {});
+  exec.advance_rounds(pulls);
   const std::uint64_t bits = key_bits(n);
   const Key* snapshot = state.data();
-  const FailureModel& failures = ops.failures();
-  const AdversaryStrategy* adversary = ops.adversary();
-  const std::uint64_t seed = ops.seed();
-  ops.for_each_node([&](std::uint32_t v, Metrics& local) {
+  const FailureModel& failures = exec.failures();
+  const AdversaryStrategy* adversary = exec.adversary();
+  const std::uint64_t seed = exec.seed();
+  exec.for_each_node([&](std::uint32_t v, Metrics& local) {
     GroupCollector<Key> groups(3, g);
     const std::uint64_t sent = walk_faulted_pulls<Key>(
         seed, base, pulls, v, n, failures, adversary,
@@ -468,28 +456,28 @@ inline void filtered_three_iteration(Ops& ops, std::vector<Key>& state,
 
 // Final step: K groups of g pulls each; a node is served iff a majority of
 // its groups produced a filtered sample, and outputs their median.
-template <typename Ops>
-inline void final_filtered_median(Ops& ops, std::vector<Key>& state,
+template <typename Exec>
+inline void final_filtered_median(Exec& exec, std::vector<Key>& state,
                                   std::uint32_t g, std::uint32_t k_samples,
                                   std::vector<Key>& outputs,
                                   std::vector<bool>& valid) {
   GQ_SPAN("adversarial/final_filtered");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = exec.size();
   const std::uint32_t pulls = k_samples * g;
-  const std::uint64_t base = ops.round() + 1;
-  observe_block(ops, base, pulls, state, {});
-  ops.advance_rounds(pulls);
+  const std::uint64_t base = exec.round() + 1;
+  observe_block(exec, base, pulls, state, {});
+  exec.advance_rounds(pulls);
   const std::uint64_t bits = key_bits(n);
   const Key* snapshot = state.data();
-  const FailureModel& failures = ops.failures();
-  const AdversaryStrategy* adversary = ops.adversary();
-  const std::uint64_t seed = ops.seed();
+  const FailureModel& failures = exec.failures();
+  const AdversaryStrategy* adversary = exec.adversary();
+  const std::uint64_t seed = exec.seed();
   outputs.assign(n, Key{});
   // Parallel sections write a byte per node, never vector<bool> bits —
   // adjacent bits share words across shard boundaries (same staging
   // discipline as engine/kernels.cpp).
   std::vector<std::uint8_t> valid8(n, 0);
-  ops.for_each_node([&](std::uint32_t v, Metrics& local) {
+  exec.for_each_node([&](std::uint32_t v, Metrics& local) {
     GroupCollector<Key> groups(k_samples, g);
     const std::uint64_t sent = walk_faulted_pulls<Key>(
         seed, base, pulls, v, n, failures, adversary,
@@ -524,12 +512,12 @@ inline void final_filtered_median(Ops& ops, std::vector<Key>& state,
   for (std::uint32_t v = 0; v < n; ++v) valid[v] = valid8[v] != 0;
 }
 
-template <typename Ops>
+template <typename Exec>
 AdversarialQuantileResult adversarial_quantile_impl(
-    Ops& ops, std::span<const Key> keys,
+    Exec& exec, std::span<const Key> keys,
     const AdversarialQuantileParams& params) {
   GQ_SPAN("pipeline/adversarial_quantile");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = exec.size();
   GQ_REQUIRE(keys.size() == n, "one key per node required");
   GQ_REQUIRE(params.phi >= 0.0 && params.phi <= 1.0,
              "phi must lie in [0,1]");
@@ -544,7 +532,7 @@ AdversarialQuantileResult adversarial_quantile_impl(
   const std::uint32_t g = params.filter_group | 1u;   // force odd
   const std::uint32_t k = params.final_sample_size | 1u;
 
-  const Metrics before = ops.metrics();
+  const Metrics before = exec.metrics();
   AdversarialQuantileResult result;
   std::vector<Key> state(keys.begin(), keys.end());
   std::vector<Key> next(state.size());
@@ -557,7 +545,7 @@ AdversarialQuantileResult adversarial_quantile_impl(
       two_tournament_schedule(start, params.eps);
   for (std::size_t iter = 0; iter < schedule.iterations(); ++iter) {
     const double delta = params.truncate_last ? schedule.delta[iter] : 1.0;
-    filtered_two_iteration(ops, state, next, g, delta, suppress_high);
+    filtered_two_iteration(exec, state, next, g, delta, suppress_high);
     ++result.phase1_iterations;
   }
 
@@ -565,13 +553,13 @@ AdversarialQuantileResult adversarial_quantile_impl(
   const ThreeTournamentSchedule schedule3 =
       three_tournament_schedule(params.eps / 4.0, n);
   for (std::size_t iter = 0; iter < schedule3.iterations(); ++iter) {
-    filtered_three_iteration(ops, state, next, g);
+    filtered_three_iteration(exec, state, next, g);
     ++result.phase2_iterations;
   }
 
-  final_filtered_median(ops, state, g, k, result.outputs, result.valid);
+  final_filtered_median(exec, state, g, k, result.outputs, result.valid);
 
-  const Metrics delta = ops.metrics().since(before);
+  const Metrics delta = exec.metrics().since(before);
   result.rounds = delta.rounds;
   result.quality = make_quality(delta, result.served_nodes(), n,
                                 params.min_served_fraction,
@@ -579,14 +567,14 @@ AdversarialQuantileResult adversarial_quantile_impl(
   return result;
 }
 
-template <typename Ops>
-AdversarialMeanResult adversarial_mean_impl(Ops& ops,
+template <typename Exec>
+AdversarialMeanResult adversarial_mean_impl(Exec& exec,
                                             std::span<const double> values,
                                             std::span<const Key> keys,
                                             const AdversarialMeanParams&
                                                 params) {
   GQ_SPAN("pipeline/adversarial_mean");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = exec.size();
   GQ_REQUIRE(values.size() == n && keys.size() == n,
              "one value per node required");
   GQ_REQUIRE(params.clip_lo_phi < params.clip_hi_phi,
@@ -595,7 +583,7 @@ AdversarialMeanResult adversarial_mean_impl(Ops& ops,
                  params.mean_sample_rounds <= kMaxMeanRounds,
              "mean sample rounds out of range");
 
-  const Metrics before = ops.metrics();
+  const Metrics before = exec.metrics();
   AdversarialMeanResult result;
 
   // Clip bounds from two adversarial quantile sub-runs.  Every node ends up
@@ -609,12 +597,12 @@ AdversarialMeanResult adversarial_mean_impl(Ops& ops,
   qp.phi = params.clip_lo_phi;
   const AdversarialQuantileResult q_lo = [&] {
     GQ_SPAN("adversarial/clip_bounds");
-    return ops.quantile(keys, qp);
+    return adversarial_quantile_impl(exec, keys, qp);
   }();
   qp.phi = params.clip_hi_phi;
   const AdversarialQuantileResult q_hi = [&] {
     GQ_SPAN("adversarial/clip_bounds");
-    return ops.quantile(keys, qp);
+    return adversarial_quantile_impl(exec, keys, qp);
   }();
 
   std::vector<double> clip_lo(n), clip_hi(n);
@@ -634,21 +622,21 @@ AdversarialMeanResult adversarial_mean_impl(Ops& ops,
   // values, averaged per node in round order (fixed FP summation order is
   // part of the bit-identity contract).
   const std::uint32_t rounds = params.mean_sample_rounds;
-  const std::uint64_t base = ops.round() + 1;
+  const std::uint64_t base = exec.round() + 1;
   {
     GQ_SPAN("adversarial/mean_samples");
-    observe_block(ops, base, rounds, {}, values);
-    ops.advance_rounds(rounds);
+    observe_block(exec, base, rounds, {}, values);
+    exec.advance_rounds(rounds);
   }
   result.estimates.assign(n, 0.0);
   std::vector<std::uint8_t> valid8(n, 0);
   const double* value_data = values.data();
-  const FailureModel& failures = ops.failures();
-  const AdversaryStrategy* adversary = ops.adversary();
-  const std::uint64_t seed = ops.seed();
+  const FailureModel& failures = exec.failures();
+  const AdversaryStrategy* adversary = exec.adversary();
+  const std::uint64_t seed = exec.seed();
   const std::uint32_t min_count = std::max(1u, rounds / 2);
   double* estimate_data = result.estimates.data();
-  ops.for_each_node([&](std::uint32_t v, Metrics& local) {
+  exec.for_each_node([&](std::uint32_t v, Metrics& local) {
     double sum = 0.0;
     std::uint32_t count = 0;
     const double lo = clip_lo[v];
@@ -676,7 +664,7 @@ AdversarialMeanResult adversarial_mean_impl(Ops& ops,
   result.valid.assign(n, false);
   for (std::uint32_t v = 0; v < n; ++v) result.valid[v] = valid8[v] != 0;
 
-  const Metrics delta = ops.metrics().since(before);
+  const Metrics delta = exec.metrics().since(before);
   result.rounds = delta.rounds;
   result.quality = make_quality(delta, result.served_nodes(), n,
                                 params.min_served_fraction,

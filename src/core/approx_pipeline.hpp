@@ -5,22 +5,18 @@
 // the eps-floor fallback decision, the Lemma-2.11 phase2_eps choice, the
 // failure-free vs robust routing, and the coverage call are all observable
 // in outputs, round counts, and Metrics, so the sequential Network path and
-// the parallel Engine must execute ONE copy of this logic.  The Ops
-// provider supplies the executor-bound phases:
+// the parallel Engine must execute ONE copy of this logic.  The template
+// takes the executor itself and calls its per-executor overloads by
+// argument-dependent lookup:
 //
-//   uint32_t size();
-//   const Metrics& metrics();
-//   bool faultless();   // no failure model AND no adversary installed
-//   ExactQuantileResult exact(span<const Key>, const ExactQuantileParams&);
-//   TwoTournamentOutcome   two(vector<Key>& state, phi, eps, truncate_last);
-//   ThreeTournamentOutcome three(vector<Key>& state, eps, k);
-//   RobustTwoTournamentOutcome   robust_two(state, good, phi, eps,
-//                                           truncate_last);
-//   RobustThreeTournamentOutcome robust_three(state, good, eps, k);
-//   uint64_t coverage(outputs, valid, t);
+//   exact_quantile_keys                        (the eps-floor fallback)
+//   two_tournament, three_tournament           (failure-free phases)
+//   robust_two_tournament, robust_three_tournament, robust_coverage
 //
-// Instantiated by core/approx_quantile.cpp (Network) and
-// engine/pipelines.cpp (Engine); bit-identity of the two is pinned by
+// declared for Network in core/{exact_quantile,two_tournament,
+// three_tournament,robust}.hpp and for Engine in engine/pipelines.hpp and
+// engine/kernels.hpp.  Instantiated by core/approx_quantile.cpp (Network)
+// and engine/pipelines.cpp (Engine); bit-identity of the two is pinned by
 // tests/test_engine.cpp and tests/test_engine_robust.cpp.
 #pragma once
 
@@ -29,8 +25,12 @@
 #include <vector>
 
 #include "analysis/theory_bounds.hpp"
+#include "core/exact_quantile.hpp"
 #include "core/params.hpp"
 #include "core/result.hpp"
+#include "core/robust.hpp"
+#include "core/three_tournament.hpp"
+#include "core/two_tournament.hpp"
 #include "sim/key.hpp"
 #include "sim/metrics.hpp"
 #include "telemetry/telemetry.hpp"
@@ -38,17 +38,18 @@
 
 namespace gq::approx_detail {
 
-template <typename Ops>
+template <typename Exec>
 ApproxQuantileResult approx_quantile_keys_impl(
-    Ops& ops, std::span<const Key> keys, const ApproxQuantileParams& params) {
-  const std::uint32_t n = ops.size();
+    Exec& exec, std::span<const Key> keys,
+    const ApproxQuantileParams& params) {
+  const std::uint32_t n = exec.size();
   GQ_REQUIRE(keys.size() == n, "one key per node required");
   GQ_REQUIRE(params.phi >= 0.0 && params.phi <= 1.0, "phi must lie in [0,1]");
   GQ_REQUIRE(params.eps > 0.0 && params.eps < 0.5,
              "eps must lie in (0, 1/2)");
 
   GQ_SPAN("pipeline/approx_quantile");
-  const Metrics before = ops.metrics();
+  const Metrics before = exec.metrics();
 
   if (params.eps < eps_tournament_floor(n) && !params.force_tournament) {
     // Theorem 1.2 bootstrap: for eps below the sampling floor the exact
@@ -56,11 +57,11 @@ ApproxQuantileResult approx_quantile_keys_impl(
     GQ_SPAN("approx/exact_fallback");
     ExactQuantileParams ep;
     ep.phi = params.phi;
-    const ExactQuantileResult er = ops.exact(keys, ep);
+    const ExactQuantileResult er = exact_quantile_keys(exec, keys, ep);
     ApproxQuantileResult out;
     out.outputs = er.outputs;
     out.valid = er.valid;
-    out.rounds = ops.metrics().rounds - before.rounds;
+    out.rounds = exec.metrics().rounds - before.rounds;
     out.used_exact_fallback = true;
     return out;
   }
@@ -72,14 +73,16 @@ ApproxQuantileResult approx_quantile_keys_impl(
   // configuration lies in the original [phi - eps, phi + eps] window.
   const double phase2_eps = params.eps / 4.0;
 
-  if (ops.faultless()) {
+  if (exec.faultless()) {
     const auto p1 = [&] {
       GQ_SPAN("approx/two_tournament");
-      return ops.two(state, params.phi, params.eps, params.truncate_last);
+      return two_tournament(exec, state, params.phi, params.eps,
+                            params.truncate_last);
     }();
     const auto p2 = [&] {
       GQ_SPAN("approx/three_tournament");
-      return ops.three(state, phase2_eps, params.final_sample_size);
+      return three_tournament(exec, state, phase2_eps,
+                              params.final_sample_size);
     }();
     out.phase1_iterations = p1.iterations;
     out.phase2_iterations = p2.iterations;
@@ -89,25 +92,26 @@ ApproxQuantileResult approx_quantile_keys_impl(
     std::vector<bool> good(n, true);
     const auto p1 = [&] {
       GQ_SPAN("approx/robust_two_tournament");
-      return ops.robust_two(state, good, params.phi, params.eps,
-                            params.truncate_last);
+      return robust_two_tournament(exec, state, good, params.phi, params.eps,
+                                   params.truncate_last);
     }();
     auto p2 = [&] {
       GQ_SPAN("approx/robust_three_tournament");
-      return ops.robust_three(state, good, phase2_eps,
-                              params.final_sample_size);
+      return robust_three_tournament(exec, state, good, phase2_eps,
+                                     params.final_sample_size);
     }();
     out.phase1_iterations = p1.iterations;
     out.phase2_iterations = p2.iterations;
     {
       GQ_SPAN("approx/coverage");
-      ops.coverage(p2.outputs, p2.valid, params.robust_coverage_rounds);
+      robust_coverage(exec, p2.outputs, p2.valid,
+                      params.robust_coverage_rounds);
     }
     out.outputs = std::move(p2.outputs);
     out.valid = std::move(p2.valid);
   }
 
-  out.rounds = ops.metrics().rounds - before.rounds;
+  out.rounds = exec.metrics().rounds - before.rounds;
   return out;
 }
 

@@ -1,62 +1,14 @@
 #include "core/approx_quantile.hpp"
 
 #include "core/approx_pipeline.hpp"
-#include "core/exact_quantile.hpp"
-#include "core/robust.hpp"
-#include "core/three_tournament.hpp"
-#include "core/two_tournament.hpp"
 #include "workload/tiebreak.hpp"
 
 namespace gq {
-namespace {
-
-// The sequential instantiation of the shared approximate-pipeline control
-// flow in core/approx_pipeline.hpp; the engine twin lives in
-// engine/pipelines.cpp (bit-identity pinned by tests/test_engine.cpp and
-// tests/test_engine_robust.cpp).
-struct NetworkApproxOps {
-  Network& net;
-
-  [[nodiscard]] std::uint32_t size() const { return net.size(); }
-  [[nodiscard]] const Metrics& metrics() const { return net.metrics(); }
-  [[nodiscard]] bool faultless() const { return net.faultless(); }
-
-  ExactQuantileResult exact(std::span<const Key> keys,
-                            const ExactQuantileParams& params) {
-    return exact_quantile_keys(net, keys, params);
-  }
-  TwoTournamentOutcome two(std::vector<Key>& state, double phi, double eps,
-                           bool truncate_last) {
-    return two_tournament(net, state, phi, eps, truncate_last);
-  }
-  ThreeTournamentOutcome three(std::vector<Key>& state, double eps,
-                               std::uint32_t final_sample_size) {
-    return three_tournament(net, state, eps, final_sample_size);
-  }
-  RobustTwoTournamentOutcome robust_two(std::vector<Key>& state,
-                                        std::vector<bool>& good, double phi,
-                                        double eps, bool truncate_last) {
-    return robust_two_tournament(net, state, good, phi, eps, truncate_last);
-  }
-  RobustThreeTournamentOutcome robust_three(std::vector<Key>& state,
-                                            std::vector<bool>& good,
-                                            double eps,
-                                            std::uint32_t final_sample_size) {
-    return robust_three_tournament(net, state, good, eps, final_sample_size);
-  }
-  std::uint64_t coverage(std::vector<Key>& outputs, std::vector<bool>& valid,
-                         std::uint32_t t) {
-    return robust_coverage(net, outputs, valid, t);
-  }
-};
-
-}  // namespace
 
 ApproxQuantileResult approx_quantile_keys(Network& net,
                                           std::span<const Key> keys,
                                           const ApproxQuantileParams& params) {
-  NetworkApproxOps ops{net};
-  return approx_detail::approx_quantile_keys_impl(ops, keys, params);
+  return approx_detail::approx_quantile_keys_impl(net, keys, params);
 }
 
 ApproxQuantileResult approx_quantile(Network& net,

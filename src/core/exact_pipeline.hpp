@@ -1,19 +1,21 @@
 // The executor-independent control flow of Algorithm 3 (exact quantile).
 //
-// exact_quantile historically lived as one Network-bound function; porting
-// it to the parallel engine would have meant duplicating ~250 lines of
-// bracketing bookkeeping whose every branch is observable in round counts
-// and Metrics — a bit-identity hazard.  Instead the pipeline is templated
-// over an `Ops` provider supplying the gossip substrates, and both
-// executors instantiate the SAME control flow:
+// Every branch of the bracketing bookkeeping is observable in round counts
+// and Metrics, so the pipeline is ONE template over the executor and both
+// executors instantiate the same control flow:
 //
-//   * core/exact_quantile.cpp  — Ops over the sequential Network
+//   * core/exact_quantile.cpp  — over the sequential Network
 //     (agg/spread, agg/rank_count, core/pivot, core/token_split);
-//   * engine/pipelines.cpp     — Ops over the parallel Engine's batched
+//   * engine/pipelines.cpp     — over the parallel Engine's batched
 //     kernels (scatter-based push-sum, token split, spreads).
 //
-// Bit-identity of the two paths then reduces to bit-identity of each
-// primitive, which tests/test_engine.cpp pins kernel by kernel.
+// The template calls each substrate by argument-dependent lookup on the
+// executor: approx_quantile_keys, multi_quantile_keys, spread_min,
+// spread_max, spread_min_max, gossip_count, gossip_rank, gossip_count3,
+// sample_uniform_candidate and token_split_distribute, plus the executor's
+// own size / seed / round / metrics / failures.  Bit-identity of the two
+// paths then reduces to bit-identity of each primitive, which
+// tests/test_engine.cpp pins kernel by kernel.
 //
 // Steps 3-4 run on the shared schedule of core/multi_pipeline.hpp: the
 // (k/n - s)- and (k/n + s)-quantile brackets are two lanes of ONE
@@ -23,40 +25,22 @@
 // adversary is installed, or the slack sits below the tournament floor),
 // the iteration runs two approx runs and then two single-lane spreads, so
 // robust and adversarial transcripts do not depend on the shared schedule.
-//
-// The Ops concept (duck-typed; see NetworkExactOps / EngineExactOps):
-//   uint32_t  size();
-//   uint64_t  seed();                // diagnostic context for typed aborts
-//   uint64_t  round();               //   "  (stream-relative round counter)
-//   const Metrics& metrics();
-//   ApproxQuantileResult approx(span<const Key>, const ApproxQuantileParams&);
-//   MultiQuantileResult  multi(span<const Key>, const MultiQuantileParams&);
-//   SpreadResult spread_min_keys(span<const Key>);
-//   SpreadResult spread_max_keys(span<const Key>);
-//   GenericSpreadResult<MinMaxKeys> spread_min_max_keys(vector<Key> min_init,
-//                                                       vector<Key> max_init);
-//   CountResult  count(const vector<bool>&);
-//   CountResult  rank(span<const Key>, const Key&);
-//   TripleCountResult count3(const vector<bool>&, ..., ...);
-//   PivotSample  pivot(span<const Key>, const vector<bool>&);
-//   TokenSplitResult token_split(span<const Key>, uint64_t m, uint64_t tag);
-//   uint64_t exact_count_rounds();   // cost-model input
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "agg/push_sum.hpp"
 #include "agg/rank_count.hpp"
 #include "agg/spread.hpp"
 #include "analysis/theory_bounds.hpp"
+#include "core/approx_quantile.hpp"
 #include "core/multi_quantile.hpp"
 #include "core/params.hpp"
 #include "core/pivot.hpp"
@@ -74,12 +58,12 @@ namespace gq::exact_detail {
 // stream-relative counter (reset by reset_stream), not lifetime Metrics
 // rounds, so warm service attempts abort with the same context as a cold
 // run — the context is part of the differential contract.
-template <typename Ops>
-ExactPipelineError::Context abort_context(Ops& ops, const char* phase) {
+template <typename Exec>
+ExactPipelineError::Context abort_context(Exec& exec, const char* phase) {
   ExactPipelineError::Context context;
-  context.seed = ops.seed();
-  context.round = ops.round();
-  context.n = ops.size();
+  context.seed = exec.seed();
+  context.round = exec.round();
+  context.n = exec.size();
   context.phase = phase;
   return context;
 }
@@ -93,22 +77,22 @@ struct PipelineOutcome {
 };
 
 // Runs `step` and bills the rounds it consumed to `bucket`.
-template <typename Ops, typename Step>
-auto metered(Ops& ops, std::uint64_t& bucket, Step&& step) {
-  const std::uint64_t before = ops.metrics().rounds;
+template <typename Exec, typename Step>
+auto metered(Exec& exec, std::uint64_t& bucket, Step&& step) {
+  const std::uint64_t before = exec.metrics().rounds;
   auto result = step();
-  bucket += ops.metrics().rounds - before;
+  bucket += exec.metrics().rounds - before;
   return result;
 }
 
 // Broadcasts the smallest valued key among `contributions` (anything but
 // the Step-6 marker; a genuine -inf input is a value) to every node.
-template <typename Ops>
-Key broadcast_min_valued(Ops& ops, const std::vector<Key>& contributions,
+template <typename Exec>
+Key broadcast_min_valued(Exec& exec, const std::vector<Key>& contributions,
                          std::vector<Key>& outputs,
                          ExactRoundBreakdown& spent) {
-  SpreadResult sr = metered(ops, spent.spreads, [&] {
-    return ops.spread_min_keys(contributions);
+  SpreadResult sr = metered(exec, spent.spreads, [&] {
+    return spread_min(exec, contributions);
   });
   GQ_REQUIRE(sr.converged && sr.values.front() != Key::infinite(),
              "answer broadcast failed to converge on a valued key");
@@ -118,14 +102,14 @@ Key broadcast_min_valued(Ops& ops, const std::vector<Key>& contributions,
 
 // Uniform-pivot selection phases (shared mechanics with the KDG03
 // baseline): find the key of rank k within `inst` and broadcast it.
-template <typename Ops>
-PipelineOutcome selection_endgame(Ops& ops, std::vector<Key>& inst,
+template <typename Exec>
+PipelineOutcome selection_endgame(Exec& exec, std::vector<Key>& inst,
                                   std::uint64_t k,
                                   const ExactQuantileParams& params,
                                   std::size_t iterations_so_far,
                                   ExactRoundBreakdown& spent) {
   GQ_SPAN("exact/selection_endgame");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = exec.size();
   PipelineOutcome out;
   out.iterations = iterations_so_far;
 
@@ -138,18 +122,19 @@ PipelineOutcome selection_endgame(Ops& ops, std::vector<Key>& inst,
       candidate[v] =
           inst[v] != Key::infinite() && lo_e < inst[v] && inst[v] < hi_e;
     }
-    const PivotSample pv = metered(ops, spent.endgame, [&] {
-      return ops.pivot(inst, candidate);
+    const PivotSample pv = metered(exec, spent.endgame, [&] {
+      return sample_uniform_candidate(exec, inst, candidate);
     });
     if (!pv.found) {
       throw ExactPipelineError(
           ExactPipelineError::Kind::kEndgameNoCandidates,
           "selection endgame ran out of candidates (count inconsistency)",
-          abort_context(ops, "selection_endgame"));
+          abort_context(exec, "selection_endgame"));
     }
     ++out.endgame_phases;
     const std::uint64_t rank =
-        metered(ops, spent.endgame, [&] { return ops.rank(inst, pv.pivot); })
+        metered(exec, spent.endgame,
+                [&] { return gossip_rank(exec, inst, pv.pivot); })
             .counts[0];
     if (rank == k) {
       out.answer = pv.pivot;
@@ -165,7 +150,7 @@ PipelineOutcome selection_endgame(Ops& ops, std::vector<Key>& inst,
   }
   throw ExactPipelineError(ExactPipelineError::Kind::kEndgameStalled,
                            "selection endgame did not converge",
-                           abort_context(ops, "selection_endgame"));
+                           abort_context(exec, "selection_endgame"));
 }
 
 // Predicted round costs used by ExactStrategy::kAuto.  These only steer the
@@ -225,12 +210,13 @@ struct Bracket {
 
 // Steps 3-4: approximate the two target quantiles of `inst` and spread the
 // lower run's minimum and the upper run's maximum to every node.
-template <typename Ops>
-Bracket bracket(Ops& ops, std::span<const Key> inst,
+template <typename Exec>
+Bracket bracket(Exec& exec, std::span<const Key> inst,
                 const MultiQuantileParams& targets,
                 ExactRoundBreakdown& spent) {
   MultiQuantileResult runs =
-      metered(ops, spent.brackets, [&] { return ops.multi(inst, targets); });
+      metered(exec, spent.brackets,
+              [&] { return multi_quantile_keys(exec, inst, targets); });
   ApproxQuantileResult& r_lo = runs.per_phi[0];
   ApproxQuantileResult& r_hi = runs.per_phi[1];
   for (std::size_t v = 0; v < inst.size(); ++v) {
@@ -239,25 +225,25 @@ Bracket bracket(Ops& ops, std::span<const Key> inst,
   }
   if (runs.shared_schedule) {
     const GenericSpreadResult<MinMaxKeys> both =
-        metered(ops, spent.spreads, [&] {
-          return ops.spread_min_max_keys(std::move(r_lo.outputs),
-                                         std::move(r_hi.outputs));
+        metered(exec, spent.spreads, [&] {
+          return spread_min_max(exec, std::move(r_lo.outputs),
+                                std::move(r_hi.outputs));
         });
     return {both.values.front().min, both.values.front().max, true};
   }
   const SpreadResult s_lo = metered(
-      ops, spent.spreads, [&] { return ops.spread_min_keys(r_lo.outputs); });
+      exec, spent.spreads, [&] { return spread_min(exec, r_lo.outputs); });
   const SpreadResult s_hi = metered(
-      ops, spent.spreads, [&] { return ops.spread_max_keys(r_hi.outputs); });
+      exec, spent.spreads, [&] { return spread_max(exec, r_hi.outputs); });
   return {s_lo.values.front(), s_hi.values.front(), false};
 }
 
-template <typename Ops>
-PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
+template <typename Exec>
+PipelineOutcome run_pipeline(Exec& exec, std::span<const Key> keys,
                              const ExactQuantileParams& params,
                              ExactRoundBreakdown& spent) {
   GQ_SPAN("exact/run_pipeline");
-  const std::uint32_t n = ops.size();
+  const std::uint32_t n = exec.size();
   const auto nd = static_cast<double>(n);
 
   // Target rank among the original keys.
@@ -290,7 +276,7 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
   targets.phis.resize(2);
 
   const auto endgame = [&] {
-    return selection_endgame(ops, inst, k, params, out.iterations, spent);
+    return selection_endgame(exec, inst, k, params, out.iterations, spent);
   };
 
   while (true) {
@@ -298,7 +284,7 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
       // The answer block covers every rank <= k, so the smallest surviving
       // key is an answer copy; one min-broadcast finishes (this is also the
       // phi ~ 0 fast path, where k0 = 1 makes the input minimum the answer).
-      out.answer = broadcast_min_valued(ops, inst, out.outputs, spent);
+      out.answer = broadcast_min_valued(exec, inst, out.outputs, spent);
       out.valid.assign(n, true);
       return out;
     }
@@ -307,11 +293,12 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
       // block; broadcast the smallest output to serve stragglers.
       inner.phi = std::clamp(static_cast<double>(k) / nd - 2.0 * s, 0.0, 1.0);
       ApproxQuantileResult fin = metered(
-          ops, spent.brackets, [&] { return ops.approx(inst, inner); });
+          exec, spent.brackets,
+          [&] { return approx_quantile_keys(exec, inst, inner); });
       for (std::uint32_t v = 0; v < n; ++v) {
         if (!fin.valid[v]) fin.outputs[v] = Key::infinite();
       }
-      out.answer = broadcast_min_valued(ops, fin.outputs, out.outputs, spent);
+      out.answer = broadcast_min_valued(exec, fin.outputs, out.outputs, spent);
       out.valid.assign(n, true);
       return out;
     }
@@ -323,7 +310,7 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
     // extremes.
     targets.phis[0] = std::clamp(static_cast<double>(k) / nd - s, 0.0, 1.0);
     targets.phis[1] = std::clamp(static_cast<double>(k) / nd + s, 0.0, 1.0);
-    const Bracket br = bracket(ops, inst, targets, spent);
+    const Bracket br = bracket(exec, inst, targets, spent);
     const Key lo = br.lo;
     const Key hi = br.hi;
     // A bracket can degenerate when an inner run misses its w.h.p. window
@@ -350,7 +337,8 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
       ind_c[v] = inst[v] != Key::infinite();
     }
     const TripleCountResult cnt = metered(
-        ops, spent.counts, [&] { return ops.count3(ind_a, ind_b, ind_c); });
+        exec, spent.counts,
+        [&] { return gossip_count3(exec, ind_a, ind_b, ind_c); });
     const std::uint64_t rank_lo = cnt.a.front();
     const std::uint64_t rank_hi = cnt.b.front();
     const std::uint64_t finite_cnt = cnt.c.front();
@@ -359,19 +347,6 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
     // only if it provably does not cut the answer away.
     const bool use_lo = lo_ok && rank_lo >= 1 && rank_lo <= k;
     const bool use_hi = hi_ok && rank_hi >= k;
-    // Diagnostic trace for development and experiment debugging.
-    if (std::getenv("GQ_EXACT_TRACE") != nullptr) {
-      std::fprintf(stderr,
-                   "[exact] iter=%zu k=%llu block=%llu/%llu A=%llu B=%llu "
-                   "F=%llu use_lo=%d use_hi=%d\n",
-                   out.iterations, static_cast<unsigned long long>(k),
-                   static_cast<unsigned long long>(block),
-                   static_cast<unsigned long long>(block_target),
-                   static_cast<unsigned long long>(rank_lo),
-                   static_cast<unsigned long long>(rank_hi),
-                   static_cast<unsigned long long>(finite_cnt),
-                   use_lo ? 1 : 0, use_hi ? 1 : 0);
-    }
     if (!use_lo && !use_hi) {
       if (params.strategy == ExactStrategy::kPreferDuplication) {
         continue;  // re-bracket with fresh randomness
@@ -393,7 +368,7 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
     if (survivors == 0) {
       throw ExactPipelineError(ExactPipelineError::Kind::kBracketingEmptied,
                                "bracketing removed every candidate",
-                               abort_context(ops, "bracketing"));
+                               abort_context(exec, "bracketing"));
     }
     if (block >= k) continue;  // finish via the min-broadcast fast path
 
@@ -429,7 +404,9 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
           // The duplication route terminates when the block reaches either
           // block_target or k itself (the min-broadcast fast path).
           const CostModel cost =
-              CostModel::build(n, ops.exact_count_rounds(), s, br.shared);
+              CostModel::build(n,
+                               push_sum_rounds_for_exact(n, exec.failures()),
+                               s, br.shared);
           const double goal = static_cast<double>(
               std::min<std::uint64_t>(block_target, k));
           const double dup_iters = std::max(
@@ -445,9 +422,9 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
     if (go_endgame) return endgame();
     if (m >= 2) {
       GQ_SPAN("exact/token_split");
-      TokenSplitResult ts = metered(ops, spent.token_split, [&] {
-        return ops.token_split(
-            inst, m, static_cast<std::uint64_t>(out.iterations) << 32);
+      TokenSplitResult ts = metered(exec, spent.token_split, [&] {
+        return token_split_distribute(
+            exec, inst, m, static_cast<std::uint64_t>(out.iterations) << 32);
       });
       inst = std::move(ts.instance);
       k *= m;
@@ -459,10 +436,10 @@ PipelineOutcome run_pipeline(Ops& ops, std::span<const Key> keys,
 
 // The full entry point: pipeline, verification against the original input,
 // and the w.h.p.-never retry loop.
-template <typename Ops>
+template <typename Exec>
 ExactQuantileResult exact_quantile_keys_impl(
-    Ops& ops, std::span<const Key> keys, const ExactQuantileParams& params) {
-  const std::uint32_t n = ops.size();
+    Exec& exec, std::span<const Key> keys, const ExactQuantileParams& params) {
+  const std::uint32_t n = exec.size();
   GQ_REQUIRE(keys.size() == n, "one key per node required");
   GQ_REQUIRE(params.phi >= 0.0 && params.phi <= 1.0, "phi must lie in [0,1]");
 
@@ -470,12 +447,12 @@ ExactQuantileResult exact_quantile_keys_impl(
   const auto nd = static_cast<double>(n);
   const std::uint64_t k0 = std::clamp<std::uint64_t>(
       static_cast<std::uint64_t>(std::ceil(params.phi * nd)), 1, n);
-  const Metrics before = ops.metrics();
+  const Metrics before = exec.metrics();
   ExactRoundBreakdown spent;
 
   constexpr int kMaxAttempts = 3;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    const PipelineOutcome pipe = run_pipeline(ops, keys, params, spent);
+    const PipelineOutcome pipe = run_pipeline(exec, keys, params, spent);
 
     // Verification: the answer's rank among the ORIGINAL keys must be
     // exactly k0.  The probe's maximal tag matches every duplication copy
@@ -486,7 +463,8 @@ ExactQuantileResult exact_quantile_keys_impl(
     std::vector<bool> indicator(n);
     for (std::uint32_t v = 0; v < n; ++v) indicator[v] = keys[v] <= probe;
     const std::uint64_t measured =
-        metered(ops, spent.verification, [&] { return ops.count(indicator); })
+        metered(exec, spent.verification,
+                [&] { return gossip_count(exec, indicator); })
             .counts.front();
     if (measured != k0) continue;  // retry with fresh randomness
 
@@ -496,14 +474,14 @@ ExactQuantileResult exact_quantile_keys_impl(
     out.valid = pipe.valid;
     out.iterations = pipe.iterations;
     out.endgame_phases = pipe.endgame_phases;
-    out.rounds = ops.metrics().rounds - before.rounds;
+    out.rounds = exec.metrics().rounds - before.rounds;
     out.round_breakdown = spent;
     return out;
   }
   throw ExactPipelineError(
       ExactPipelineError::Kind::kVerificationFailed,
       "exact_quantile failed verification after repeated attempts",
-      abort_context(ops, "verification"));
+      abort_context(exec, "verification"));
 }
 
 }  // namespace gq::exact_detail

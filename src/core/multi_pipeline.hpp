@@ -54,16 +54,17 @@
 // approx_quantile run — still deduped, so duplicated phis never cost extra
 // rounds on either route.
 //
-// The Ops provider supplies the executor-bound phases:
+// The template takes the executor itself and calls, by argument-dependent
+// lookup, approx_quantile_keys (the per-target route) and the four lane
+// kernels declared below for Network and in engine/kernels.hpp for Engine:
 //
-//   uint32_t size();
-//   const Metrics& metrics();
-//   bool faultless();   // no failure model AND no adversary installed
-//   ApproxQuantileResult approx(span<const Key>, const ApproxQuantileParams&);
-//   void begin(span<const Key> keys, size_t lanes);  // broadcast to lanes
-//   void two_iteration(span<const MultiLaneStep> steps);
-//   void three_iteration();
-//   void final_sample(uint32_t k_samples, vector<vector<Key>>& outputs);
+//   multi_tournament_begin(exec, keys, lanes);  // broadcast keys to lanes
+//   multi_two_iteration(exec, steps);           // one shared Phase-1 step
+//   multi_three_iteration(exec);                // one shared Phase-2 step
+//   multi_final_sample(exec, k_samples, outputs);
+//
+// Their lane state lives in the executor's pooled scratch, so it persists
+// from begin to final_sample and keeps its capacity across runs.
 //
 // Instantiated by core/multi_quantile.cpp (Network) and
 // engine/pipelines.cpp (Engine); bit-identity of the two is pinned by
@@ -106,6 +107,18 @@ struct MultiLaneStep {
   double delta = 1.0;         // lane's coin this iteration (>= 1.0: no coin)
 };
 
+// The sequential lane kernels (core/multi_quantile.cpp): per-node state is
+// q plain Key vectors, every round is a for-loop over nodes reading the
+// iteration-start snapshot, and the per-node draw order — one shared peer
+// pick per round, per-lane delta coins in lane order — is the contract the
+// Engine kernels reproduce bit for bit (tests/test_engine_multi.cpp).
+void multi_tournament_begin(Network& net, std::span<const Key> keys,
+                            std::uint32_t lanes);
+void multi_two_iteration(Network& net, std::span<const MultiLaneStep> steps);
+void multi_three_iteration(Network& net);
+void multi_final_sample(Network& net, std::uint32_t k_samples,
+                        std::vector<std::vector<Key>>& outputs);
+
 namespace multi_detail {
 
 struct MultiLaneSpec {
@@ -113,10 +126,10 @@ struct MultiLaneSpec {
   TwoTournamentSchedule schedule;
 };
 
-template <typename Ops>
+template <typename Exec>
 MultiQuantileResult multi_quantile_keys_impl(
-    Ops& ops, std::span<const Key> keys, const MultiQuantileParams& params) {
-  const std::uint32_t n = ops.size();
+    Exec& exec, std::span<const Key> keys, const MultiQuantileParams& params) {
+  const std::uint32_t n = exec.size();
   GQ_REQUIRE(keys.size() == n, "one key per node required");
   GQ_REQUIRE(!params.phis.empty(), "at least one quantile target required");
   for (const double phi : params.phis) {
@@ -130,7 +143,7 @@ MultiQuantileResult multi_quantile_keys_impl(
              "final sample size must be positive");
 
   GQ_SPAN("pipeline/multi_quantile");
-  const Metrics before = ops.metrics();
+  const Metrics before = exec.metrics();
 
   // Stable first-appearance dedupe: duplicated targets share one lane (one
   // run on the fallback route), so they cost nothing extra; `slot` maps
@@ -150,7 +163,7 @@ MultiQuantileResult multi_quantile_keys_impl(
   out.unique_targets = unique.size();
   std::vector<ApproxQuantileResult> per_unique(unique.size());
 
-  const bool shared = ops.faultless() &&
+  const bool shared = exec.faultless() &&
                       !(params.eps < eps_tournament_floor(n)) &&
                       unique.size() <= kMaxSharedLanes;
   if (!shared) {
@@ -162,7 +175,7 @@ MultiQuantileResult multi_quantile_keys_impl(
     ap.robust_coverage_rounds = params.robust_coverage_rounds;
     for (std::size_t u = 0; u < unique.size(); ++u) {
       ap.phi = unique[u];
-      per_unique[u] = ops.approx(keys, ap);
+      per_unique[u] = approx_quantile_keys(exec, keys, ap);
     }
   } else {
     std::vector<MultiLaneSpec> lanes(unique.size());
@@ -181,7 +194,8 @@ MultiQuantileResult multi_quantile_keys_impl(
         three_tournament_schedule(phase2_eps, n);
     const std::uint32_t k_samples = params.final_sample_size | 1u;
 
-    ops.begin(keys, lanes.size());
+    multi_tournament_begin(exec, keys,
+                           static_cast<std::uint32_t>(lanes.size()));
     {
       GQ_SPAN("multi/two_tournament");
       std::vector<MultiLaneStep> steps(lanes.size());
@@ -192,16 +206,16 @@ MultiQuantileResult multi_quantile_keys_impl(
           steps[u].delta =
               steps[u].active ? lanes[u].schedule.delta[iter] : 1.0;
         }
-        ops.two_iteration(steps);
+        multi_two_iteration(exec, steps);
       }
     }
     std::vector<std::vector<Key>> outputs;
     {
       GQ_SPAN("multi/three_tournament");
       for (std::size_t iter = 0; iter < phase2.iterations(); ++iter) {
-        ops.three_iteration();
+        multi_three_iteration(exec);
       }
-      ops.final_sample(k_samples, outputs);
+      multi_final_sample(exec, k_samples, outputs);
     }
     for (std::size_t u = 0; u < unique.size(); ++u) {
       per_unique[u].outputs = std::move(outputs[u]);
@@ -211,7 +225,7 @@ MultiQuantileResult multi_quantile_keys_impl(
     }
   }
 
-  out.metrics = ops.metrics().since(before);
+  out.metrics = exec.metrics().since(before);
   out.rounds = out.metrics.rounds;
   out.shared_schedule = shared;
   if (shared) {

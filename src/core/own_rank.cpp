@@ -1,53 +1,10 @@
 #include "core/own_rank.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "core/approx_quantile.hpp"
-#include "util/require.hpp"
-#include "workload/tiebreak.hpp"
-
 namespace gq {
 
 OwnRankResult own_rank(Network& net, std::span<const double> values,
                        const OwnRankParams& params) {
-  const std::uint32_t n = net.size();
-  GQ_REQUIRE(values.size() == n, "one value per node required");
-  GQ_REQUIRE(params.eps > 0.0 && params.eps < 0.5,
-             "eps must lie in (0, 1/2)");
-
-  const std::vector<Key> keys = make_keys(values);
-  const double grid = params.eps / 2.0;
-  const auto runs = static_cast<std::size_t>(std::ceil(1.0 / grid)) - 1;
-
-  const Metrics before = net.metrics();
-  OwnRankResult out;
-  out.quantile_runs = runs;
-  out.valid.assign(n, true);
-  std::vector<std::size_t> below(n, 0);
-
-  ApproxQuantileParams ap;
-  ap.eps = params.eps / 4.0;
-  ap.final_sample_size = params.final_sample_size;
-  for (std::size_t j = 1; j <= runs; ++j) {
-    ap.phi = std::min(1.0, grid * static_cast<double>(j));
-    const ApproxQuantileResult r = approx_quantile_keys(net, keys, ap);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (!r.valid[v]) {
-        out.valid[v] = false;
-        continue;
-      }
-      if (r.outputs[v] < keys[v]) ++below[v];
-    }
-  }
-
-  out.estimates.resize(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    out.estimates[v] =
-        std::min(1.0, (static_cast<double>(below[v]) + 0.5) * grid);
-  }
-  out.rounds = net.metrics().rounds - before.rounds;
-  return out;
+  return own_rank_detail::own_rank_impl(net, values, params);
 }
 
 }  // namespace gq

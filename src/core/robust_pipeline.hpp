@@ -41,12 +41,11 @@
 //   bool all_served();
 //   void coverage_round();  // unserved nodes pull; adopt any served answer
 //
-// A note on the ROADMAP's plan for this port: it speculated the fan-out
-// counts would be CombiningScatter's first user, but the fan-out pulls are
-// pull-shaped — every puller folds its own good-pull count and samples from
-// the immutable round-start snapshot, touching no other node's slots — so
-// the batched kernels parallelise with per-node output slots exactly like
-// the failure-free tournament kernels, and no scatter is involved.
+// The fan-out pulls are pull-shaped — every puller folds its own good-pull
+// count and samples from the immutable round-start snapshot, touching no
+// other node's slots — so the batched kernels parallelise with per-node
+// output slots exactly like the failure-free tournament kernels, and no
+// scatter is involved.
 #pragma once
 
 #include <algorithm>

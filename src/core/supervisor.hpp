@@ -21,8 +21,9 @@
 //
 // Everything here is executor-independent; the attempt callback owns the
 // executor (Network and Engine both expose reset_stream, so the provided
-// wrappers below work on either).  The service layer (service/) builds its
-// graceful-degradation path on supervise() directly.
+// wrapper below works on either).  The service layer (service/) shares the
+// attempt plan (plan_attempt) but runs its own attempt loop
+// (QuantileService::run_attempts), not supervise().
 #pragma once
 
 #include <cstdint>
@@ -263,25 +264,6 @@ SupervisedRun<AdversarialQuantileResult> supervised_adversarial_quantile_keys(
         AttemptVerdict verdict;
         verdict.served_fraction = result.quality.served_fraction;
         verdict.corruption_exposure = result.quality.corruption_exposure;
-        verdict.rounds = result.rounds;
-        return std::pair(std::move(result), verdict);
-      });
-}
-
-template <typename Executor>
-SupervisedRun<ExactQuantileResult> supervised_exact_quantile_keys(
-    Executor& executor, std::span<const Key> keys,
-    const ExactQuantileParams& params, const SupervisorPolicy& policy) {
-  const auto n = static_cast<double>(executor.size());
-  return supervise<ExactQuantileResult>(
-      policy, executor.seed(), [&](const AttemptPlan& plan) {
-        executor.reset_stream(plan.seed);
-        ExactQuantileResult result =
-            exact_quantile_keys(executor, keys, params);
-        AttemptVerdict verdict;
-        std::size_t served = 0;
-        for (bool b : result.valid) served += b ? 1 : 0;
-        verdict.served_fraction = static_cast<double>(served) / n;
         verdict.rounds = result.rounds;
         return std::pair(std::move(result), verdict);
       });

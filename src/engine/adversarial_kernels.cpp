@@ -1,9 +1,10 @@
 // Engine instantiation of the adversarially-robust pipelines
-// (core/adversarial_pipeline.hpp): the per-node folds run inside
-// parallel_shards with shard-local Metrics, which the engine merges in
-// shard order — the same fragments, folded in the same node order, as the
-// sequential NetworkAdversarialOps (core/adversarial.cpp) produces, so the
-// two executors are bit-identical at every thread count (pinned by
+// (core/adversarial_pipeline.hpp): the per-node folds run through
+// Engine::for_each_node, inside parallel_shards with shard-local Metrics
+// that the engine merges in shard order — the same fragments, folded in
+// the same node order, as Network::for_each_node produces for the
+// sequential instantiation (core/adversarial.cpp), so the two executors
+// are bit-identical at every thread count (pinned by
 // tests/test_adversary.cpp).
 //
 // Deliberately NOT on the interned rank lanes of engine/kernels.cpp: a
@@ -12,7 +13,6 @@
 // scratch (filter groups, delay mailbox) is fixed-capacity stack storage
 // inside the fold — no pooled state, no allocation inside the parallel
 // sections.
-#include <cstdint>
 #include <span>
 
 #include "core/adversarial_pipeline.hpp"
@@ -21,47 +21,11 @@
 #include "workload/tiebreak.hpp"
 
 namespace gq {
-namespace {
-
-struct EngineAdversarialOps {
-  Engine& engine;
-
-  [[nodiscard]] std::uint32_t size() const { return engine.size(); }
-  [[nodiscard]] std::uint64_t seed() const { return engine.seed(); }
-  [[nodiscard]] const FailureModel& failures() const {
-    return engine.failures();
-  }
-  [[nodiscard]] AdversaryStrategy* adversary() const {
-    return engine.adversary();
-  }
-  [[nodiscard]] const Metrics& metrics() const { return engine.metrics(); }
-  [[nodiscard]] std::uint64_t round() const { return engine.round(); }
-
-  void advance_rounds(std::uint32_t k) {
-    for (std::uint32_t i = 0; i < k; ++i) (void)engine.begin_round();
-  }
-
-  template <typename Fn>
-  void for_each_node(Fn&& fn) {
-    engine.parallel_shards(
-        [&fn](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-          for (std::uint32_t v = begin; v < end; ++v) fn(v, local);
-        });
-  }
-
-  AdversarialQuantileResult quantile(std::span<const Key> keys,
-                                     const AdversarialQuantileParams& params) {
-    return adversarial_quantile_keys(engine, keys, params);
-  }
-};
-
-}  // namespace
 
 AdversarialQuantileResult adversarial_quantile_keys(
     Engine& engine, std::span<const Key> keys,
     const AdversarialQuantileParams& params) {
-  EngineAdversarialOps ops{engine};
-  return adversary_detail::adversarial_quantile_impl(ops, keys, params);
+  return adversary_detail::adversarial_quantile_impl(engine, keys, params);
 }
 
 AdversarialQuantileResult adversarial_quantile(
@@ -75,8 +39,8 @@ AdversarialMeanResult adversarial_mean(Engine& engine,
                                        std::span<const double> values,
                                        const AdversarialMeanParams& params) {
   const auto keys = make_keys(values);
-  EngineAdversarialOps ops{engine};
-  return adversary_detail::adversarial_mean_impl(ops, values, keys, params);
+  return adversary_detail::adversarial_mean_impl(engine, values, keys,
+                                                params);
 }
 
 }  // namespace gq

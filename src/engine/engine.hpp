@@ -34,20 +34,17 @@
 // ## API shape
 //
 // Engine inherits the executor core's primitives (begin_round /
-// node_stream / node_fails / sample_peer / metrics ...) from ExecutorCore,
-// exactly as Network does, so protocol code ports mechanically.  It adds
-// only its own round execution: the sharded parallel_shards section, the
-// pool, the scatter arena and pooled scratch, and the batched whole-round
-// kernels pull_round / push_round that fill a caller-provided contiguous
-// peer array in parallel — no virtual dispatch, no per-node allocation in
-// the hot loop.
+// advance_rounds / node_stream / node_fails / sample_peer / metrics /
+// scratch ...) from ExecutorCore, exactly as Network does, so protocol code
+// ports mechanically.  It adds only its own round execution: the sharded
+// parallel_shards section and the per-node for_each_node built on it, the
+// pool, the scatter arena, and the batched whole-round kernel pull_round
+// that fills a caller-provided contiguous peer array in parallel — no
+// virtual dispatch, no per-node allocation in the hot loop.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <typeindex>
-#include <utility>
 #include <vector>
 
 #include "engine/arena.hpp"
@@ -128,35 +125,29 @@ class Engine : public ExecutorCore {
     }
   }
 
+  // Runs fn(v, local) for every node v, sharded: each shard walks its node
+  // range in ascending order against its own accumulator, merged in shard
+  // order — the same fragments, folded in the same node order, as
+  // Network::for_each_node.  fn must write only node-v slots.
+  template <typename Fn>
+  void for_each_node(Fn&& fn) {
+    parallel_shards(
+        [&fn](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+          for (std::uint32_t v = begin; v < end; ++v) fn(v, local);
+        });
+  }
+
   // The underlying worker pool, for engine subsystems (e.g. the scatter
   // primitive's delivery pass) that parallelise over units other than the
   // node shards.  Callers own their determinism: tasks must write disjoint
   // slots and must not touch the engine's Metrics.
   [[nodiscard]] ThreadPool& pool() noexcept { return pool_; }
 
-  // The engine-owned mailbox arena; Scatter/CombiningScatter check their
-  // rows x partitions box table out of it so mailbox capacity persists
-  // across rounds and pipeline stages.  See engine/arena.hpp.
+  // The engine-owned mailbox arena; a Scatter checks its rows x partitions
+  // box table out of it so mailbox capacity persists across rounds and
+  // pipeline stages.  See engine/arena.hpp.
   [[nodiscard]] ScatterArena& scatter_arena() noexcept {
     return scatter_arena_;
-  }
-
-  // Engine-pooled working storage for collectives: one default-constructed
-  // T per (engine, type), created on first use and reused afterwards so a
-  // collective's scratch (e.g. the token split's per-node token store)
-  // keeps its capacity across calls.  Call from the orchestrating thread
-  // only, never from inside a parallel section; reentrancy discipline is
-  // the caller's (collectives on one engine run sequentially).
-  template <typename T>
-  [[nodiscard]] T& scratch() {
-    const std::type_index key(typeid(T));
-    for (auto& [type, ptr] : scratch_) {
-      if (type == key) return *static_cast<T*>(ptr.get());
-    }
-    scratch_.emplace_back(
-        key, std::unique_ptr<void, void (*)(void*)>(
-                 new T(), [](void* p) { delete static_cast<T*>(p); }));
-    return *static_cast<T*>(scratch_.back().second.get());
   }
 
   // ---- batched whole-round kernels -------------------------------------
@@ -169,26 +160,12 @@ class Engine : public ExecutorCore {
   [[nodiscard]] std::vector<std::uint32_t> pull_round(
       std::uint64_t bits_per_message);
 
-  // One synchronous round in which every node attempts a single push; the
-  // sampler is identical to pull_round (the distinction is which side
-  // supplies the message — a protocol concern, not a sampling one).
-  void push_round(std::uint64_t bits_per_message,
-                  std::span<std::uint32_t> peers_out) {
-    pull_round(bits_per_message, peers_out);
-  }
-  [[nodiscard]] std::vector<std::uint32_t> push_round(
-      std::uint64_t bits_per_message) {
-    return pull_round(bits_per_message);
-  }
-
  private:
   EngineConfig config_;
   std::size_t num_shards_;
   ThreadPool pool_;
   std::vector<Metrics> shard_scratch_;  // one accumulator per shard
   ScatterArena scatter_arena_;
-  std::vector<std::pair<std::type_index, std::unique_ptr<void, void (*)(void*)>>>
-      scratch_;  // per-type pooled collective storage
 };
 
 }  // namespace gq

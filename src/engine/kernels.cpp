@@ -455,7 +455,7 @@ ThreeTournamentOutcome three_tournament(Engine& engine,
   // disappears entirely.  Each node's K picks are drawn (and prefetched)
   // before its K gathers, so the draw ALU covers the miss latency.
   const std::uint64_t first_sample_round = engine.round() + 1;
-  for (std::uint32_t j = 0; j < k_samples; ++j) engine.begin_round();
+  engine.advance_rounds(k_samples);
   out.outputs.resize(n);
   constexpr std::uint32_t kMaxStackSamples = 64;
   const std::size_t shards = engine.num_shards();
@@ -741,7 +741,7 @@ void multi_final_sample(Engine& engine, std::uint32_t k_samples,
   // per-round sweeps.  Each node's K picks are drawn (and their rows
   // prefetched) before its q per-lane medians fold.
   const std::uint64_t first_sample_round = engine.round() + 1;
-  for (std::uint32_t j = 0; j < k_samples; ++j) engine.begin_round();
+  engine.advance_rounds(k_samples);
   outputs.assign(q, std::vector<Key>(n));
   constexpr std::uint32_t kMaxStackSamples = 64;
   const std::size_t shards = engine.num_shards();
@@ -903,9 +903,7 @@ class EngineRobustOps {
                          std::uint32_t capacity, Commit&& commit) {
     GQ_SPAN("robust/fanout_pull_block");
     const std::uint64_t base = engine_.round() + 1;
-    for (std::uint32_t r = 0; r < pulls + trailing_rounds; ++r) {
-      engine_.begin_round();
-    }
+    engine_.advance_rounds(pulls + trailing_rounds);
     constexpr std::uint32_t kInlineSamples = 3;
     const std::uint32_t prefetch_cap = capacity + 2;
     scratch_.ensure_slots(engine_.num_shards() *

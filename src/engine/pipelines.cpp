@@ -14,6 +14,7 @@
 #include "analysis/theory_bounds.hpp"
 #include "core/approx_pipeline.hpp"
 #include "core/exact_pipeline.hpp"
+#include "core/own_rank.hpp"
 #include "engine/arena.hpp"
 #include "engine/kernels.hpp"
 #include "engine/scatter.hpp"
@@ -145,7 +146,7 @@ MultiPushSumResult<D> engine_push_sum_average_multi(
     std::uint64_t rounds) {
   const std::uint32_t n = engine.size();
   GQ_REQUIRE(x.size() == n, "one input vector per node required");
-  if (rounds == 0) rounds = push_sum_rounds_default(n, engine.failures());
+  if (rounds == 0) rounds = push_sum_rounds_for_exact(n, engine.failures());
   const std::uint64_t bits = push_sum_message_bits(D);
 
   using Pair = typename PushSumScratch<D>::Pair;
@@ -592,146 +593,16 @@ TokenSplitResult token_split_distribute(Engine& engine,
 
 // ---- pipelines ------------------------------------------------------------
 
-namespace {
-
-// The engine instantiation of the shared Algorithm-3 control flow in
-// core/exact_pipeline.hpp; the sequential twin lives in
-// core/exact_quantile.cpp.
-struct EngineExactOps {
-  Engine& engine;
-
-  [[nodiscard]] std::uint32_t size() const { return engine.size(); }
-  [[nodiscard]] std::uint64_t seed() const { return engine.seed(); }
-  [[nodiscard]] std::uint64_t round() const { return engine.round(); }
-  [[nodiscard]] const Metrics& metrics() const { return engine.metrics(); }
-
-  ApproxQuantileResult approx(std::span<const Key> keys,
-                              const ApproxQuantileParams& params) {
-    return approx_quantile_keys(engine, keys, params);
-  }
-  MultiQuantileResult multi(std::span<const Key> keys,
-                            const MultiQuantileParams& params) {
-    return multi_quantile_keys(engine, keys, params);
-  }
-  SpreadResult spread_min_keys(std::span<const Key> init) {
-    return spread_min(engine, init);
-  }
-  SpreadResult spread_max_keys(std::span<const Key> init) {
-    return spread_max(engine, init);
-  }
-  GenericSpreadResult<MinMaxKeys> spread_min_max_keys(
-      std::vector<Key> min_init, std::vector<Key> max_init) {
-    return spread_min_max(engine, std::move(min_init), std::move(max_init));
-  }
-  CountResult count(const std::vector<bool>& indicator) {
-    return gossip_count(engine, indicator);
-  }
-  CountResult rank(std::span<const Key> keys, const Key& threshold) {
-    return gossip_rank(engine, keys, threshold);
-  }
-  TripleCountResult count3(const std::vector<bool>& a,
-                           const std::vector<bool>& b,
-                           const std::vector<bool>& c) {
-    return gossip_count3(engine, a, b, c);
-  }
-  PivotSample pivot(std::span<const Key> inst,
-                    const std::vector<bool>& candidate) {
-    return sample_uniform_candidate(engine, inst, candidate);
-  }
-  TokenSplitResult token_split(std::span<const Key> inst,
-                               std::uint64_t multiplier,
-                               std::uint64_t tag_base) {
-    return token_split_distribute(engine, inst, multiplier, tag_base);
-  }
-  [[nodiscard]] std::uint64_t exact_count_rounds() const {
-    return push_sum_rounds_for_exact(engine.size(), engine.failures());
-  }
-};
-
-// The engine instantiation of the shared approximate-pipeline control flow
-// in core/approx_pipeline.hpp; the sequential twin lives in
-// core/approx_quantile.cpp.
-struct EngineApproxOps {
-  Engine& engine;
-
-  [[nodiscard]] std::uint32_t size() const { return engine.size(); }
-  [[nodiscard]] const Metrics& metrics() const { return engine.metrics(); }
-  [[nodiscard]] bool faultless() const { return engine.faultless(); }
-
-  ExactQuantileResult exact(std::span<const Key> keys,
-                            const ExactQuantileParams& params) {
-    return exact_quantile_keys(engine, keys, params);
-  }
-  TwoTournamentOutcome two(std::vector<Key>& state, double phi, double eps,
-                           bool truncate_last) {
-    return two_tournament(engine, state, phi, eps, truncate_last);
-  }
-  ThreeTournamentOutcome three(std::vector<Key>& state, double eps,
-                               std::uint32_t final_sample_size) {
-    return three_tournament(engine, state, eps, final_sample_size);
-  }
-  RobustTwoTournamentOutcome robust_two(std::vector<Key>& state,
-                                        std::vector<bool>& good, double phi,
-                                        double eps, bool truncate_last) {
-    return robust_two_tournament(engine, state, good, phi, eps,
-                                 truncate_last);
-  }
-  RobustThreeTournamentOutcome robust_three(std::vector<Key>& state,
-                                            std::vector<bool>& good,
-                                            double eps,
-                                            std::uint32_t final_sample_size) {
-    return robust_three_tournament(engine, state, good, eps,
-                                   final_sample_size);
-  }
-  std::uint64_t coverage(std::vector<Key>& outputs, std::vector<bool>& valid,
-                         std::uint32_t t) {
-    return robust_coverage(engine, outputs, valid, t);
-  }
-};
-
-// The engine instantiation of the shared multi-quantile control flow in
-// core/multi_pipeline.hpp; the sequential twin lives in
-// core/multi_quantile.cpp.  Thin forwarders to the multi-lane kernels in
-// engine/kernels.cpp, plus the single-target approx pipeline for the
-// deduped fallback route.
-struct EngineMultiOps {
-  Engine& engine;
-
-  [[nodiscard]] std::uint32_t size() const { return engine.size(); }
-  [[nodiscard]] const Metrics& metrics() const { return engine.metrics(); }
-  [[nodiscard]] bool faultless() const { return engine.faultless(); }
-
-  ApproxQuantileResult approx(std::span<const Key> keys,
-                              const ApproxQuantileParams& params) {
-    return approx_quantile_keys(engine, keys, params);
-  }
-  void begin(std::span<const Key> keys, std::size_t lanes) {
-    multi_tournament_begin(engine, keys, static_cast<std::uint32_t>(lanes));
-  }
-  void two_iteration(std::span<const MultiLaneStep> steps) {
-    multi_two_iteration(engine, steps);
-  }
-  void three_iteration() { multi_three_iteration(engine); }
-  void final_sample(std::uint32_t k_samples,
-                    std::vector<std::vector<Key>>& outputs) {
-    multi_final_sample(engine, k_samples, outputs);
-  }
-};
-
-}  // namespace
-
 ApproxQuantileResult approx_quantile_keys(Engine& engine,
                                           std::span<const Key> keys,
                                           const ApproxQuantileParams& params) {
-  EngineApproxOps ops{engine};
-  return approx_detail::approx_quantile_keys_impl(ops, keys, params);
+  return approx_detail::approx_quantile_keys_impl(engine, keys, params);
 }
 
 MultiQuantileResult multi_quantile_keys(Engine& engine,
                                         std::span<const Key> keys,
                                         const MultiQuantileParams& params) {
-  EngineMultiOps ops{engine};
-  return multi_detail::multi_quantile_keys_impl(ops, keys, params);
+  return multi_detail::multi_quantile_keys_impl(engine, keys, params);
 }
 
 MultiQuantileResult multi_quantile(Engine& engine,
@@ -751,8 +622,7 @@ ApproxQuantileResult approx_quantile(Engine& engine,
 ExactQuantileResult exact_quantile_keys(Engine& engine,
                                         std::span<const Key> keys,
                                         const ExactQuantileParams& params) {
-  EngineExactOps ops{engine};
-  return exact_detail::exact_quantile_keys_impl(ops, keys, params);
+  return exact_detail::exact_quantile_keys_impl(engine, keys, params);
 }
 
 ExactQuantileResult exact_quantile(Engine& engine,
@@ -764,46 +634,7 @@ ExactQuantileResult exact_quantile(Engine& engine,
 
 OwnRankResult own_rank(Engine& engine, std::span<const double> values,
                        const OwnRankParams& params) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(values.size() == n, "one value per node required");
-  GQ_REQUIRE(params.eps > 0.0 && params.eps < 0.5,
-             "eps must lie in (0, 1/2)");
-
-  const std::vector<Key> keys = make_keys(values);
-  const double grid = params.eps / 2.0;
-  const auto runs = static_cast<std::size_t>(std::ceil(1.0 / grid)) - 1;
-
-  const Metrics before = engine.metrics();
-  OwnRankResult out;
-  out.quantile_runs = runs;
-  out.valid.assign(n, true);
-  std::vector<std::size_t> below(n, 0);
-
-  ApproxQuantileParams ap;
-  ap.eps = params.eps / 4.0;
-  ap.final_sample_size = params.final_sample_size;
-  for (std::size_t j = 1; j <= runs; ++j) {
-    ap.phi = std::min(1.0, grid * static_cast<double>(j));
-    const ApproxQuantileResult r = approx_quantile_keys(engine, keys, ap);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (!r.valid[v]) {
-        out.valid[v] = false;
-        continue;
-      }
-      if (r.outputs[v] < keys[v]) ++below[v];
-    }
-  }
-
-  out.estimates.resize(n);
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-        for (std::uint32_t v = begin; v < end; ++v) {
-          out.estimates[v] =
-              std::min(1.0, (static_cast<double>(below[v]) + 0.5) * grid);
-        }
-      });
-  out.rounds = engine.metrics().rounds - before.rounds;
-  return out;
+  return own_rank_detail::own_rank_impl(engine, values, params);
 }
 
 }  // namespace gq

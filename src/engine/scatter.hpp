@@ -29,12 +29,6 @@
 // payload types — steady-state rounds allocate nothing.  Records are
 // memcpy-framed into the byte boxes, which is why payloads must be
 // trivially copyable (they model wire messages; all of ours are).
-//
-// CombiningScatter is the counter-payload variant: payloads whose fold is
-// exactly associative and commutative (integer counters, bitmasks) may be
-// merged before delivery, shrinking mailboxes when a sender emits bursts to
-// one destination.  Because combining changes fold grouping, it must never
-// be used with floating-point payloads — that is Scatter's job.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +43,7 @@
 
 namespace gq {
 
-// Mailbox geometry shared by both scatter variants.  Rows are the engine's
+// Mailbox geometry of the scatter.  Rows are the engine's
 // node shards (the send-side write granularity); destination partitions are
 // contiguous node ranges sized from the same shard layout, capped so the
 // row x partition table stays small.  All boundaries are pure functions of
@@ -101,7 +95,7 @@ struct ScatterLayout {
 
 namespace scatter_detail {
 
-// The arena-backed mailbox table both scatter variants sit on: checkout,
+// The arena-backed mailbox table the scatter sits on: checkout,
 // record framing, and the row-major delivery walk.  Records are framed
 // into the byte slabs with placement-new (write) and laundered pointers
 // (read): every record offset is a multiple of sizeof(Record) from a
@@ -168,29 +162,18 @@ class Mailboxes {
   [[nodiscard]] static const Record* records(const ScatterArena::Box& b) {
     return std::launder(reinterpret_cast<const Record*>(b.bytes.data()));
   }
-  [[nodiscard]] static Record* records(ScatterArena::Box& b) {
-    return std::launder(reinterpret_cast<Record*>(b.bytes.data()));
-  }
   [[nodiscard]] static std::size_t count(const ScatterArena::Box& b) {
     return b.used / sizeof(Record);
   }
 
   // Applies fn(record) to every record addressed to partition p, mailbox
-  // rows in shard order — i.e. ascending sender order per destination.
-  // The plain walk is the touch-variant with a no-op hint (which the
-  // compiler deletes), so there is exactly ONE copy of the record
-  // iteration order.
-  template <typename Fn>
-  void for_each_in_partition(std::size_t p, Fn&& fn) {
-    for_each_in_partition(p, std::forward<Fn>(fn), [](const Record&) {});
-  }
-
-  // Like the plain walk, but calls touch(record) kLookahead records ahead
-  // of fn(record).  The record stream itself is sequential (the hardware
-  // prefetcher handles it); what stalls the fold is the random-indexed
-  // per-destination accumulator line, whose address only the caller can
-  // compute — touch is where it issues the software prefetch.  Purely a
-  // timing hint: fn still runs over every record in the same order.
+  // rows in shard order — i.e. ascending sender order per destination —
+  // and calls touch(record) kLookahead records ahead of fn(record).  The
+  // record stream itself is sequential (the hardware prefetcher handles
+  // it); what stalls the fold is the random-indexed per-destination
+  // accumulator line, whose address only the caller can compute — touch is
+  // where it issues the software prefetch.  Purely a timing hint: fn still
+  // runs over every record in the same order.
   template <typename Fn, typename Touch>
   void for_each_in_partition(std::size_t p, Fn&& fn, Touch&& touch) {
     constexpr std::size_t kLookahead = 8;
@@ -287,20 +270,6 @@ class Scatter {
                      [](std::uint32_t) {});
   }
 
-  // Full-round form: prologue(first, last), the fold, then
-  // epilogue(first, last) over the same range — so a collective can zero
-  // its accumulators, fold the incoming payloads, and commit them to the
-  // per-node state in one parallel section while the partition is
-  // cache-resident, instead of paying a separate whole-array pass.
-  // Identical fold order, so results stay bit-identical.
-  template <typename Prologue, typename Fold, typename Epilogue>
-  void deliver(Engine& engine, Prologue&& prologue, Fold&& fold,
-               Epilogue&& epilogue) {
-    deliver_prefetch(engine, std::forward<Prologue>(prologue),
-                     std::forward<Fold>(fold),
-                     std::forward<Epilogue>(epilogue), [](std::uint32_t) {});
-  }
-
   // deliver() with a destination prefetch hint: touch(dest) is called a few
   // records ahead of fold(dest, payload), so the fold's random-indexed
   // accumulator line is already in flight when the record is applied.  The
@@ -314,6 +283,12 @@ class Scatter {
                      std::forward<Touch>(touch));
   }
 
+  // Full-round form: prologue(first, last), the fold, then
+  // epilogue(first, last) over the same range — so a collective can zero
+  // its accumulators, fold the incoming payloads, and commit them to the
+  // per-node state in one parallel section while the partition is
+  // cache-resident, instead of paying a separate whole-array pass.
+  // Identical fold order, so results stay bit-identical.
   template <typename Prologue, typename Fold, typename Epilogue,
             typename Touch>
   void deliver_prefetch(Engine& engine, Prologue&& prologue, Fold&& fold,
@@ -337,62 +312,6 @@ class Scatter {
 
   ScatterLayout layout_;
   scatter_detail::Mailboxes<Record> boxes_;
-};
-
-// Scatter for counter-style payloads: `combine` must be exactly associative
-// and commutative (integer sums, max, bit-or), because consecutive sends
-// from one shard to the same destination are merged in the mailbox and the
-// delivery fold makes no ordering promise beyond determinism.  Under that
-// contract the delivered totals are bit-identical at any thread count and
-// shard size, with mailboxes no larger than the number of distinct
-// (sender burst, destination) pairs.
-template <typename Payload, typename Combine>
-class CombiningScatter {
- public:
-  explicit CombiningScatter(Engine& engine, Combine combine = Combine{})
-      : layout_(ScatterLayout::for_engine(engine)),
-        combine_(std::move(combine)),
-        boxes_(engine, layout_) {}
-
-  [[nodiscard]] const ScatterLayout& layout() const noexcept {
-    return layout_;
-  }
-
-  void begin_round() { boxes_.clear_all(); }
-
-  void send(std::uint32_t sender, std::uint32_t dest, const Payload& payload) {
-    auto& b = boxes_.box(layout_.row_of(sender), layout_.partition_of(dest));
-    const std::size_t m = Boxes::count(b);
-    if (m > 0) {
-      Record& last = Boxes::records(b)[m - 1];
-      if (last.dest == dest) {
-        combine_(last.payload, payload);
-        return;
-      }
-    }
-    boxes_.append(b, Record{dest, payload});
-  }
-
-  // Applies fold(dest, payload) for every (possibly pre-combined) record.
-  template <typename Fold>
-  void deliver(Engine& engine, Fold&& fold) {
-    GQ_SPAN("engine/scatter_deliver_combining");
-    engine.pool().run(layout_.partitions, [&](std::size_t p) {
-      boxes_.for_each_in_partition(
-          p, [&](const Record& r) { fold(r.dest, r.payload); });
-    });
-  }
-
- private:
-  struct Record {
-    std::uint32_t dest;
-    Payload payload;
-  };
-  using Boxes = scatter_detail::Mailboxes<Record>;
-
-  ScatterLayout layout_;
-  Combine combine_;
-  Boxes boxes_;
 };
 
 }  // namespace gq

@@ -16,17 +16,25 @@
 // order in which other nodes are processed.
 //
 // ExecutorCore owns n, the seed, the round counter, the run's Metrics, the
-// FailureModel and the borrowed adversary, and defines every primitive a
-// protocol draws on (begin_round / node_stream / sample_peer / node_fails /
-// op_fails / faultless ...).  The sequential Network (sim/network.hpp) and
-// the sharded Engine (engine/engine.hpp) derive from it and add only their
-// round loops, so their bit-identity contract rests on one copy of each
-// primitive.  Nothing here is virtual: the failure coin is a plain inline
+// FailureModel, the borrowed adversary and the pooled collective scratch,
+// and defines every primitive a protocol draws on (begin_round /
+// advance_rounds / node_stream / sample_peer / node_fails / op_fails /
+// faultless ...).  The sequential Network (sim/network.hpp) and the sharded
+// Engine (engine/engine.hpp) derive from it and add only their round loops
+// (pull_round, and for_each_node: a plain loop on the Network, shards on
+// the Engine), so their bit-identity contract rests on one copy of each
+// primitive.  The pipeline templates in core/*_pipeline.hpp take either
+// executor and call these members and the per-executor free functions
+// directly.  Nothing here is virtual: the failure coin is a plain inline
 // call on every pull.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <typeindex>
+#include <typeinfo>
 #include <utility>
+#include <vector>
 
 #include "sim/adversary.hpp"
 #include "sim/failure_model.hpp"
@@ -103,6 +111,14 @@ class ExecutorCore {
     return round_;
   }
 
+  // Starts the next k rounds at once: the same round counter and Metrics
+  // as k begin_round() calls.  Fused multi-round kernels advance a whole
+  // pull block up front and draw each round's streams by explicit round.
+  void advance_rounds(std::uint64_t k) noexcept {
+    round_ += k;
+    metrics_.rounds += k;
+  }
+
   // Independent random stream for node v in the current round.  Protocols
   // must draw from it in a fixed program order to stay deterministic.
   [[nodiscard]] SplitMix64 node_stream(std::uint32_t v) const noexcept {
@@ -142,6 +158,27 @@ class ExecutorCore {
     return gq::default_message_bits(n_);
   }
 
+  // ---- pooled scratch ----------------------------------------------------
+
+  // Executor-pooled working storage for collectives: one default-constructed
+  // T per (executor, type), created on first use and reused afterwards so a
+  // collective's scratch (e.g. the token split's per-node token store, the
+  // multi-quantile lane state) keeps its capacity across calls.  Call from
+  // the orchestrating thread only, never from inside a parallel section;
+  // reentrancy discipline is the caller's (collectives on one executor run
+  // sequentially), and every user re-initialises what it reads.
+  template <typename T>
+  [[nodiscard]] T& scratch() {
+    const std::type_index key(typeid(T));
+    for (auto& [type, ptr] : scratch_) {
+      if (type == key) return *static_cast<T*>(ptr.get());
+    }
+    scratch_.emplace_back(
+        key, std::unique_ptr<void, void (*)(void*)>(
+                 new T(), [](void* p) { delete static_cast<T*>(p); }));
+    return *static_cast<T*>(scratch_.back().second.get());
+  }
+
  protected:
   ExecutorCore(std::uint32_t n, std::uint64_t seed, FailureModel failures)
       : n_(n), seed_(seed), failures_(std::move(failures)) {
@@ -158,6 +195,8 @@ class ExecutorCore {
   AdversaryStrategy* adversary_ = nullptr;  // borrowed; see set_adversary
   std::uint64_t round_ = 0;
   Metrics metrics_;
+  std::vector<std::pair<std::type_index, std::unique_ptr<void, void (*)(void*)>>>
+      scratch_;  // per-type pooled collective storage
 };
 
 }  // namespace gq

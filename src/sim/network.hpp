@@ -10,8 +10,9 @@
 //     "every node contacts one random peer" pattern, and
 //   * the executor core's low-level primitives (begin_round / node_stream /
 //     sample_peer / node_fails) plus the sequential accounting below
-//     (record_messages ...) for protocols with richer per-round behaviour
-//     such as the token-splitting step of the exact algorithm.
+//     (record_messages ..., for_each_node) for protocols with richer
+//     per-round behaviour such as the token-splitting step of the exact
+//     algorithm.
 #pragma once
 
 #include <cstdint>
@@ -44,13 +45,17 @@ class Network : public ExecutorCore {
     ++mutable_metrics().failed_operations;
   }
 
-  // Folds a kernel-accumulated Metrics fragment (messages, failed
-  // operations, adversary tallies — never rounds; advance those through
-  // begin_round) into the run accounting.  The adversarial kernels batch
-  // their per-node accounting per fused block instead of calling
-  // record_message once per message.
-  void merge_metrics(const Metrics& fragment) {
-    mutable_metrics().merge(fragment);
+  // Runs fn(v, local) for every node v in ascending order against one
+  // local accumulator, folded into the run accounting afterwards — the same
+  // fragments, merged in the same node order, as Engine::for_each_node's
+  // shards.  fn must write only node-v slots, and bills messages, failed
+  // operations and adversary tallies through `local` — never rounds;
+  // advance those through begin_round / advance_rounds.
+  template <typename Fn>
+  void for_each_node(Fn&& fn) {
+    Metrics local;
+    for (std::uint32_t v = 0; v < size(); ++v) fn(v, local);
+    mutable_metrics().merge(local);
   }
 
   // ---- whole-round helpers ---------------------------------------------

@@ -303,45 +303,6 @@ TEST(Scatter, DeliversInAscendingSenderOrder) {
   }
 }
 
-TEST(Scatter, CombiningTotalsAreConfigurationIndependent) {
-  constexpr std::uint32_t kN = 513;
-  struct Add {
-    void operator()(std::uint64_t& acc, std::uint64_t v) const { acc += v; }
-  };
-  std::vector<std::uint64_t> expected;
-  for (unsigned threads : kThreadCounts) {
-    for (const std::uint32_t shard_size : {64u, 1u << 14}) {
-      Engine engine(kN, 5, FailureModel{},
-                    EngineConfig{.threads = threads, .shard_size = shard_size});
-      CombiningScatter<std::uint64_t, Add> scatter(engine);
-      scatter.begin_round();
-      // Bursts to one destination per sender: must pre-combine in the
-      // mailbox, and totals must not depend on the configuration.
-      engine.parallel_shards(
-          [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-            for (std::uint32_t v = begin; v < end; ++v) {
-              for (int i = 0; i < 3; ++i) scatter.send(v, v % 17, v + 1);
-              scatter.send(v, (v + 1) % kN, 1);
-            }
-          });
-      std::vector<std::uint64_t> totals(kN, 0);
-      scatter.deliver(engine, [&](std::uint32_t dest, std::uint64_t payload) {
-        totals[dest] += payload;
-      });
-      if (expected.empty()) {
-        expected = totals;
-        std::uint64_t sum = 0;
-        for (auto t : totals) sum += t;
-        // 3*(v+1) per sender plus one unit to a neighbour.
-        EXPECT_EQ(sum, 3ull * kN * (kN + 1) / 2 + kN);
-      } else {
-        EXPECT_EQ(totals, expected)
-            << "threads=" << threads << " shard_size=" << shard_size;
-      }
-    }
-  }
-}
-
 // ---- batched collectives --------------------------------------------------
 
 TEST(EngineCollectives, SpreadMatchesCore) {
@@ -947,6 +908,123 @@ TYPED_TEST(ExecutorCoreTest, FaultlessTracksBothFaultSources) {
     TypeParam modelled = make_executor<TypeParam>(kN, 1, threads,
                                                   FailureModel::uniform(0.1));
     EXPECT_FALSE(modelled.faultless());
+  }
+}
+
+// The per-node for-each the pipeline templates fold through: fn runs once
+// per node, and the per-node Metrics fragments fold into the same totals on
+// the Network's one accumulator as on the Engine's shard accumulators.
+// kNodes is not a multiple of the 192-node test shard, so the last shard
+// is short.
+constexpr std::uint32_t kNodes = 1000;
+
+TYPED_TEST(ExecutorCoreTest, ForEachNodeVisitsEveryNodeOnceAndFoldsFragments) {
+  const auto bill = [](std::uint32_t v, Metrics& local) {
+    local.record_messages(v % 4, 8 * (v % 5 + 1));
+    if (v % 3 == 0) ++local.failed_operations;
+  };
+  Metrics want;
+  for (std::uint32_t v = 0; v < kNodes; ++v) bill(v, want);
+  for (const unsigned threads : thread_counts<TypeParam>()) {
+    TypeParam exec = make_executor<TypeParam>(kNodes, 1, threads);
+    std::vector<int> visits(kNodes, 0);
+    exec.for_each_node([&](std::uint32_t v, Metrics& local) {
+      ++visits[v];
+      bill(v, local);
+    });
+    EXPECT_EQ(visits, std::vector<int>(kNodes, 1)) << "threads=" << threads;
+    EXPECT_EQ(exec.metrics(), want) << "threads=" << threads;
+    EXPECT_EQ(exec.round(), 0u);
+  }
+}
+
+// advance_rounds(k) is k begin_round() calls: same round counter, same
+// Metrics, and therefore the same per-node streams afterwards.
+TYPED_TEST(ExecutorCoreTest, AdvanceRoundsEqualsRepeatedBeginRound) {
+  for (const unsigned threads : thread_counts<TypeParam>()) {
+    TypeParam bulk = make_executor<TypeParam>(kNodes, 3, threads);
+    TypeParam stepped = make_executor<TypeParam>(kNodes, 3, threads);
+    for (const std::uint64_t k : {0u, 1u, 5u, 17u}) {
+      bulk.advance_rounds(k);
+      for (std::uint64_t i = 0; i < k; ++i) (void)stepped.begin_round();
+      EXPECT_EQ(bulk.round(), stepped.round());
+      EXPECT_EQ(bulk.metrics(), stepped.metrics());
+      EXPECT_EQ(bulk.node_stream(kNodes - 1)(),
+                stepped.node_stream(kNodes - 1)());
+    }
+    EXPECT_EQ(bulk.round(), 23u);
+    EXPECT_EQ(bulk.metrics().rounds, 23u);
+  }
+}
+
+// scratch<T>() is one pooled object per (executor, type): the same object
+// on every call, with its contents kept, and a distinct one per type.
+TYPED_TEST(ExecutorCoreTest, ScratchIsOneObjectPerType) {
+  struct Lanes {
+    std::vector<int> values;
+  };
+  struct Counter {
+    int count = 0;
+  };
+  for (const unsigned threads : thread_counts<TypeParam>()) {
+    TypeParam exec = make_executor<TypeParam>(kNodes, 1, threads);
+    Lanes& lanes = exec.template scratch<Lanes>();
+    lanes.values.assign(3, 7);
+    EXPECT_EQ(&exec.template scratch<Lanes>(), &lanes);
+    Counter& counter = exec.template scratch<Counter>();
+    EXPECT_NE(static_cast<void*>(&counter), static_cast<void*>(&lanes));
+    EXPECT_EQ(counter.count, 0);
+    ++counter.count;
+    EXPECT_EQ(&exec.template scratch<Lanes>(), &lanes);
+    EXPECT_EQ(exec.template scratch<Lanes>().values, std::vector<int>(3, 7));
+    EXPECT_EQ(exec.template scratch<Counter>().count, 1);
+  }
+}
+
+// The multi-quantile lane state lives in the executor's scratch.  A wider
+// run must leave nothing behind for a narrower one: 4 targets, then
+// reset_stream, then 2 targets on one executor equal the same two runs on
+// fresh executors, in outputs and Metrics.
+TYPED_TEST(ExecutorCoreTest, PooledLaneStateDoesNotLeakBetweenRuns) {
+  const auto keys =
+      make_keys(generate_values(Distribution::kUniformReal, kNodes, 73));
+  MultiQuantileParams wide;
+  wide.phis = {0.1, 0.5, 0.9, 0.99};
+  wide.eps = 0.25;
+  MultiQuantileParams narrow;
+  narrow.phis = {0.3, 0.7};
+  narrow.eps = 0.25;
+  for (const unsigned threads : thread_counts<TypeParam>()) {
+    TypeParam warm = make_executor<TypeParam>(kNodes, 5, threads);
+    const MultiQuantileResult warm_wide = multi_quantile_keys(warm, keys, wide);
+    warm.reset_stream(9);
+    const Metrics before = warm.metrics();
+    const MultiQuantileResult warm_narrow =
+        multi_quantile_keys(warm, keys, narrow);
+
+    TypeParam cold_a = make_executor<TypeParam>(kNodes, 5, threads);
+    const MultiQuantileResult cold_wide =
+        multi_quantile_keys(cold_a, keys, wide);
+    TypeParam cold_b = make_executor<TypeParam>(kNodes, 9, threads);
+    const MultiQuantileResult cold_narrow =
+        multi_quantile_keys(cold_b, keys, narrow);
+
+    EXPECT_TRUE(warm_wide.shared_schedule);
+    EXPECT_TRUE(warm_narrow.shared_schedule);
+    for (std::size_t i = 0; i < wide.phis.size(); ++i) {
+      EXPECT_EQ(warm_wide.per_phi[i].outputs, cold_wide.per_phi[i].outputs)
+          << "threads=" << threads << " target=" << i;
+    }
+    for (std::size_t i = 0; i < narrow.phis.size(); ++i) {
+      EXPECT_EQ(warm_narrow.per_phi[i].outputs,
+                cold_narrow.per_phi[i].outputs)
+          << "threads=" << threads << " target=" << i;
+    }
+    EXPECT_EQ(warm_wide.metrics, cold_wide.metrics) << "threads=" << threads;
+    EXPECT_EQ(warm_narrow.metrics, cold_narrow.metrics)
+        << "threads=" << threads;
+    EXPECT_EQ(warm.metrics().since(before), cold_b.metrics())
+        << "threads=" << threads;
   }
 }
 
