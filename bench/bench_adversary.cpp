@@ -224,14 +224,18 @@ void run() {
 // answered, either full (some supervised attempt passed) or degraded (the
 // epoch summary answered after the budget exhausted).  One cell forces
 // exhaustion outright so the degraded path (and its service/degraded trace
-// spans, validated by scripts/trace_check in CI) fires on every run.
-// Exits non-zero on any violation.
+// spans, validated by scripts/trace_check in CI) fires on every run.  Ten
+// queries cycle through the five kinds, two of each per cell, so
+// open_after = 2 lets a cell that exhausts a kind twice trip its breaker.
+// Exits non-zero on any violation, or unless the sweep as a whole retried
+// an attempt, served a degraded answer and opened a breaker.
 
 int run_soak() {
   std::printf("bench_adversary --soak: resilience fault-soak gate\n\n");
   const std::uint32_t nodes = bench::smoke_capped(1024);
   const std::uint32_t budget = std::max<std::uint32_t>(4, nodes / 16);
   std::uint64_t total = 0, full = 0, degraded = 0, violations = 0;
+  std::uint64_t retries = 0, breaker_opens = 0;
   bench::Table table({"strategy", "seed", "queries", "full", "degraded",
                       "retries", "breaker opens"});
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -264,7 +268,7 @@ int run_soak() {
       cfg.adversary = cell.strategy;
       cfg.supervisor.max_attempts = 2;
       cfg.supervisor.min_served_fraction = cell.min_served;
-      cfg.breaker.open_after = 3;
+      cfg.breaker.open_after = 2;
       cfg.breaker.cooldown_queries = 2;
       std::uint64_t cell_full = 0, cell_degraded = 0;
       try {
@@ -297,6 +301,8 @@ int run_soak() {
           }
         }
         const ServiceStats stats = service.stats();
+        retries += stats.retry_attempts;
+        breaker_opens += stats.breaker_opens;
         table.add_row({cell.label, std::to_string(seed), "10",
                        std::to_string(cell_full),
                        std::to_string(cell_degraded),
@@ -312,15 +318,19 @@ int run_soak() {
   }
   table.print();
   std::printf("\nsoak: %llu queries, %llu full, %llu degraded, "
-              "%llu violations\n",
+              "%llu retries, %llu breaker opens, %llu violations\n",
               static_cast<unsigned long long>(total),
               static_cast<unsigned long long>(full),
               static_cast<unsigned long long>(degraded),
+              static_cast<unsigned long long>(retries),
+              static_cast<unsigned long long>(breaker_opens),
               static_cast<unsigned long long>(violations));
-  // No query may throw, and the forced cell must have exercised the
-  // degraded path (otherwise CI's trace requirements are vacuous).
+  // No query may throw, and the sweep must have exercised every resilience
+  // path it names: a retried attempt, a degraded answer and an open
+  // breaker (otherwise the gate and CI's trace requirements are vacuous).
   // exit_status() flushes the GQ_TRACE artifacts the trace gate validates.
-  const int soak_status = (violations == 0 && degraded > 0) ? 0 : 1;
+  const bool exercised = degraded > 0 && retries > 0 && breaker_opens > 0;
+  const int soak_status = (violations == 0 && exercised) ? 0 : 1;
   const int artifact_status = bench::exit_status();
   return soak_status != 0 ? soak_status : artifact_status;
 }

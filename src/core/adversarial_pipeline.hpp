@@ -80,10 +80,11 @@ struct QualityReport {
   double min_served_fraction = 0.0;
   double max_corruption_exposure = 1.0;
 
-  // THE acceptance predicate: enough of the network served AND the
-  // adversary touched an acceptable fraction of traffic.  Callers (service
-  // supervisor, tests, examples) must use this instead of re-deriving
-  // their own thresholds.
+  // The run's own acceptance predicate against the thresholds in its params:
+  // enough of the network served AND the adversary touched an acceptable
+  // fraction of traffic.  Tests and examples judge a bare run with it; the
+  // supervisor judges attempts against its own SupervisorPolicy instead
+  // (core/supervisor.hpp).
   [[nodiscard]] bool ok() const noexcept {
     return served_fraction >= min_served_fraction &&
            corruption_exposure <= max_corruption_exposure;

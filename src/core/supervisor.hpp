@@ -3,27 +3,26 @@
 //
 // A pipeline run can fail three ways: it throws a typed ExactPipelineError
 // (count machinery contradicted itself), it completes but served too little
-// of the network / absorbed too much adversarial pressure (QualityReport
-// below threshold), or it blew its round deadline.  Production cannot stop
-// there — the supervisor wraps the run in a bounded attempt budget:
+// of the network (verdict below min_served_fraction), or it blew its round
+// deadline.  Production cannot stop there — the supervisor wraps the run in
+// a bounded attempt budget:
 //
 //   * attempt 0 runs with the caller's base seed and untouched parameters,
 //     so a supervised run that succeeds first try is TRANSCRIPT-IDENTICAL
 //     to the bare pipeline (the zero-fault invisibility contract);
 //   * attempt a > 0 reseeds deterministically via
 //     streams::attempt_seed(base_seed, a) — fresh randomness, reproducible
-//     from the base seed alone — and escalates parameters (coarser eps,
-//     larger filter/fan-out groups, robust-branch promotion) according to
-//     the policy;
+//     from the base seed alone — escalates parameters (eps scaled by
+//     kEpsGrowth^a, filter/fan-out sizes boosted by kFanoutStep * a) and
+//     promotes to the robust branch where the caller has one;
 //   * every attempt's outcome lands in a typed RunReport, which is part of
 //     the bit-identical differential contract: Network and Engine
 //     supervising the same run produce equal reports.
 //
 // Everything here is executor-independent; the attempt callback owns the
-// executor (Network and Engine both expose reset_stream, so the provided
-// wrapper below works on either).  The service layer (service/) shares the
-// attempt plan (plan_attempt) but runs its own attempt loop
-// (QuantileService::run_attempts), not supervise().
+// executor.  supervised_adversarial_quantile_keys below wraps one pipeline
+// on either executor, and every QuantileService query runs through
+// supervise() with a callback that dispatches on the query kind.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +44,7 @@ namespace gq {
 
 enum class AttemptStatus : std::uint8_t {
   kOk,                     // verdict met every threshold
-  kQualityBelowThreshold,  // served too little or exposure too high
+  kQualityBelowThreshold,  // served fraction below min_served_fraction
   kPipelineError,          // the run threw (typed abort or GQ_REQUIRE)
   kDeadlineExceeded,       // rounds consumed exceeded policy.max_rounds
 };
@@ -70,28 +69,22 @@ struct SupervisorPolicy {
   // deterministic).
   std::uint64_t max_rounds = 0;
 
-  // Acceptance thresholds an attempt's verdict must meet.
+  // The served fraction an attempt's verdict must reach to be accepted.
   double min_served_fraction = 0.5;
-  double max_corruption_exposure = 1.0;
-
-  // Escalation: attempt a runs with eps scaled by eps_growth^a and filter /
-  // fan-out sizes boosted by fanout_step * a (capped at the pipeline
-  // maxima).
-  double eps_growth = 1.5;
-  std::uint32_t fanout_step = 2;
-
-  // Attempts >= this threshold promote to the robust (filtered adversarial)
-  // branch where the caller supports it (see AttemptPlan::robust_promoted).
-  // The default promotes every retry; 0 would promote attempt 0 and is only
-  // for callers that accept losing zero-fault transcript invisibility.
-  std::uint32_t promote_robust_after = 1;
 
   friend bool operator==(const SupervisorPolicy&,
                          const SupervisorPolicy&) = default;
 };
 
-// The deterministic knobs of one attempt, derived from (policy, base_seed,
-// attempt) alone — both executors derive the identical plan.
+// Escalation per retry: attempt a scales eps by kEpsGrowth^a and boosts
+// filter / fan-out sizes by kFanoutStep * a (capped at the pipeline maxima).
+inline constexpr double kEpsGrowth = 1.5;
+inline constexpr std::uint32_t kFanoutStep = 2;
+
+// The deterministic knobs of one attempt, derived from (base_seed, attempt)
+// alone — both executors derive the identical plan.  Every retry promotes
+// to the robust (filtered adversarial) branch where the caller has one;
+// attempt 0 is always the bare run.
 struct AttemptPlan {
   std::uint32_t attempt = 0;
   std::uint64_t seed = 0;
@@ -102,17 +95,14 @@ struct AttemptPlan {
   friend bool operator==(const AttemptPlan&, const AttemptPlan&) = default;
 };
 
-[[nodiscard]] inline AttemptPlan plan_attempt(const SupervisorPolicy& policy,
-                                              std::uint64_t base_seed,
+[[nodiscard]] inline AttemptPlan plan_attempt(std::uint64_t base_seed,
                                               std::uint32_t attempt) {
   AttemptPlan plan;
   plan.attempt = attempt;
   plan.seed = streams::attempt_seed(base_seed, attempt);
-  for (std::uint32_t i = 0; i < attempt; ++i) {
-    plan.eps_scale *= policy.eps_growth;
-  }
-  plan.fanout_boost = policy.fanout_step * attempt;
-  plan.robust_promoted = attempt >= policy.promote_robust_after;
+  for (std::uint32_t i = 0; i < attempt; ++i) plan.eps_scale *= kEpsGrowth;
+  plan.fanout_boost = kFanoutStep * attempt;
+  plan.robust_promoted = attempt > 0;
   return plan;
 }
 
@@ -123,7 +113,9 @@ struct AttemptVerdict {
   std::uint64_t rounds = 0;
 };
 
-// One attempt's outcome as recorded in the RunReport.
+// One attempt's outcome as recorded in the RunReport.  The corruption
+// exposure is reported, not judged: the adversary touches each billed
+// message at most once, so the fraction never exceeds 1.
 struct AttemptRecord {
   std::uint32_t attempt = 0;
   std::uint64_t seed = 0;
@@ -180,7 +172,7 @@ SupervisedRun<Result> supervise(const SupervisorPolicy& policy,
              "supervisor needs at least one attempt");
   SupervisedRun<Result> out;
   for (std::uint32_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    const AttemptPlan plan = plan_attempt(policy, base_seed, attempt);
+    const AttemptPlan plan = plan_attempt(base_seed, attempt);
     AttemptRecord record;
     record.attempt = attempt;
     record.seed = plan.seed;
@@ -193,9 +185,7 @@ SupervisedRun<Result> supervise(const SupervisorPolicy& policy,
         record.rounds = verdict.rounds;
         if (policy.max_rounds != 0 && verdict.rounds > policy.max_rounds) {
           record.status = AttemptStatus::kDeadlineExceeded;
-        } else if (verdict.served_fraction < policy.min_served_fraction ||
-                   verdict.corruption_exposure >
-                       policy.max_corruption_exposure) {
+        } else if (verdict.served_fraction < policy.min_served_fraction) {
           record.status = AttemptStatus::kQualityBelowThreshold;
         } else {
           record.status = AttemptStatus::kOk;

@@ -43,6 +43,8 @@ QuantileService::QuantileService(std::uint32_t initial_nodes,
              "local_phi must lie in [0,1]");
   GQ_REQUIRE(cfg_.session_compact_factor >= 1,
              "session_compact_factor must be at least 1");
+  GQ_REQUIRE(cfg_.supervisor.max_attempts >= 1,
+             "supervisor needs at least one attempt");
   streams_.reserve(initial_nodes);
   for (std::uint32_t i = 0; i < initial_nodes; ++i) (void)join();
 }
@@ -184,6 +186,8 @@ std::uint64_t QuantileService::seal() {
   // so a new m gets a new engine (thread pool and arenas respawn once per
   // churn event, not per query).
   if (engine_ == nullptr || engine_->size() != m) {
+    // The retiring engine's rounds stay in the lifetime counter.
+    if (engine_ != nullptr) retired_rounds_ += engine_->metrics().rounds;
     engine_ = std::make_unique<Engine>(m, cfg_.seed, cfg_.failures,
                                        cfg_.engine);
     ++engine_rebuilds_;
@@ -287,81 +291,31 @@ QueryReply QuantileService::run_resilient(const QueryRequest& request,
     }
     breaker.state = BreakerState::kHalfOpen;  // this query is the probe
   }
-  bool exhausted = false;
-  QueryReply reply =
-      run_attempts(request, seed, cfg_.supervisor.max_attempts, exhausted);
-  record_outcome(breaker, exhausted);
-  if (!exhausted) return reply;
-  return degraded_reply(request, seed, cfg_.supervisor.max_attempts);
-}
-
-QueryReply QuantileService::run_attempts(const QueryRequest& request,
-                                         std::uint64_t seed,
-                                         std::uint32_t max_attempts,
-                                         bool& exhausted) {
-  GQ_REQUIRE(max_attempts >= 1, "supervisor needs at least one attempt");
   const auto m = static_cast<double>(instance_.size());
-  std::exception_ptr last_error;
-  for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-    const AttemptPlan plan = plan_attempt(cfg_.supervisor, seed, attempt);
-    if (attempt > 0) ++retry_attempts_;
-    GQ_SPAN("supervisor/attempt");
-    prepare_engine(plan.seed);
-    try {
-      QueryReply reply;
-      switch (request.kind) {
-        case QueryKind::kQuantile: {
-          GQ_SPAN("service/query_quantile");
-          reply = run_quantile(request, plan.seed, plan);
-          break;
+  SupervisedRun<QueryReply> run = supervise<QueryReply>(
+      cfg_.supervisor, seed, [&](const AttemptPlan& plan) {
+        prepare_engine(plan.seed);
+        QueryReply reply;
+        switch (request.kind) {
+          case QueryKind::kQuantile: reply = run_quantile(request, plan); break;
+          case QueryKind::kExactQuantile: reply = run_exact(request); break;
+          case QueryKind::kRank: reply = run_rank(request); break;
+          case QueryKind::kCdf: reply = run_cdf(request); break;
+          case QueryKind::kMultiQuantile:
+            reply = run_multi_quantile(request, plan);
+            break;
         }
-        case QueryKind::kExactQuantile: {
-          GQ_SPAN("service/query_exact_quantile");
-          reply = run_exact(request, plan.seed);
-          break;
-        }
-        case QueryKind::kRank: {
-          GQ_SPAN("service/query_rank");
-          reply = run_rank(request, plan.seed);
-          break;
-        }
-        case QueryKind::kCdf: {
-          GQ_SPAN("service/query_cdf");
-          reply = run_cdf(request, plan.seed);
-          break;
-        }
-        case QueryKind::kMultiQuantile: {
-          GQ_SPAN("service/query_multi_quantile");
-          reply = run_multi_quantile(request, plan.seed, plan);
-          break;
-        }
-      }
-      const double served_fraction =
-          m > 0.0 ? static_cast<double>(reply.served) / m : 1.0;
-      const bool deadline_ok = cfg_.supervisor.max_rounds == 0 ||
-                               reply.rounds <= cfg_.supervisor.max_rounds;
-      if (deadline_ok &&
-          served_fraction >= cfg_.supervisor.min_served_fraction) {
         reply.seed = plan.seed;
-        reply.attempts = attempt + 1;
-        exhausted = false;
-        return reply;
-      }
-      last_error = nullptr;  // quality failure, not an exception
-    } catch (const std::exception&) {
-      // Pipeline aborts (typed ExactPipelineError) and convergence
-      // failures under extreme faults (GQ_REQUIRE) are both failed
-      // attempts; structural misuse was rejected before the loop.
-      last_error = std::current_exception();
-    }
-  }
-  exhausted = true;
-  if (!cfg_.degrade_on_exhaustion) {
-    if (last_error != nullptr) std::rethrow_exception(last_error);
-    throw std::runtime_error(
-        "supervisor budget exhausted: quality below threshold");
-  }
-  return {};
+        reply.attempts = plan.attempt + 1;
+        AttemptVerdict verdict;
+        verdict.served_fraction = static_cast<double>(reply.served) / m;
+        verdict.rounds = reply.rounds;
+        return std::pair(std::move(reply), verdict);
+      });
+  retry_attempts_ += run.report.retries();
+  record_outcome(breaker, !run.report.ok);
+  if (run.report.ok) return std::move(*run.result);
+  return degraded_reply(request, seed, cfg_.supervisor.max_attempts);
 }
 
 void QuantileService::record_outcome(Breaker& breaker, bool exhausted) {
@@ -456,8 +410,8 @@ std::vector<QueryReply> QuantileService::query_batch(
 }
 
 QueryReply QuantileService::run_quantile(const QueryRequest& request,
-                                         std::uint64_t /*seed*/,
                                          const AttemptPlan& plan) {
+  GQ_SPAN("service/query_quantile");
   QueryReply reply;
   reply.kind = QueryKind::kQuantile;
   reply.phi = request.phi;
@@ -468,8 +422,6 @@ QueryReply QuantileService::run_quantile(const QueryRequest& request,
     AdversarialQuantileParams params;
     params.phi = request.phi;
     params.eps = request.eps > 0.0 ? request.eps : cfg_.approx.eps;
-    params.min_served_fraction = cfg_.supervisor.min_served_fraction;
-    params.max_corruption_exposure = cfg_.supervisor.max_corruption_exposure;
     params = escalated(params, plan);
     const AdversarialQuantileResult res =
         adversarial_quantile_keys(*engine_, instance_, params);
@@ -506,19 +458,16 @@ QueryReply QuantileService::run_quantile(const QueryRequest& request,
 }
 
 QueryReply QuantileService::run_multi_quantile(const QueryRequest& request,
-                                               std::uint64_t /*seed*/,
                                                const AttemptPlan& plan) {
+  GQ_SPAN("service/query_multi_quantile");
+  ApproxQuantileParams approx = cfg_.approx;
+  if (request.eps > 0.0) approx.eps = request.eps;
+  approx = escalated(approx, plan);  // attempt 0: returns approx unchanged
   MultiQuantileParams params;
   params.phis = request.phis;
-  params.eps = cfg_.approx.eps;
-  params.final_sample_size = cfg_.approx.final_sample_size;
-  params.robust_coverage_rounds = cfg_.approx.robust_coverage_rounds;
-  if (request.eps > 0.0) params.eps = request.eps;
-  // Escalation mirrors escalated(ApproxQuantileParams): coarser eps, more
-  // final samples, deeper robust coverage.  Attempt 0 is a no-op.
-  params.eps = std::min(0.49, params.eps * plan.eps_scale);
-  params.final_sample_size += 2 * plan.fanout_boost;
-  params.robust_coverage_rounds += plan.fanout_boost;
+  params.eps = approx.eps;
+  params.final_sample_size = approx.final_sample_size;
+  params.robust_coverage_rounds = approx.robust_coverage_rounds;
   const MultiQuantileResult res =
       multi_quantile_keys(*engine_, instance_, params);
   QueryReply reply;
@@ -553,8 +502,8 @@ QueryReply QuantileService::run_multi_quantile(const QueryRequest& request,
   return reply;
 }
 
-QueryReply QuantileService::run_exact(const QueryRequest& request,
-                                      std::uint64_t /*seed*/) {
+QueryReply QuantileService::run_exact(const QueryRequest& request) {
+  GQ_SPAN("service/query_exact_quantile");
   ExactQuantileParams params = cfg_.exact;
   params.phi = request.phi;
   const ExactQuantileResult res =
@@ -572,8 +521,8 @@ QueryReply QuantileService::run_exact(const QueryRequest& request,
   return reply;
 }
 
-QueryReply QuantileService::run_rank(const QueryRequest& request,
-                                     std::uint64_t /*seed*/) {
+QueryReply QuantileService::run_rank(const QueryRequest& request) {
+  GQ_SPAN("service/query_rank");
   session_.indicator_le(probe_key(request.value), indicator_a_);
   const CountResult res = gossip_count(*engine_, indicator_a_);
   QueryReply reply;
@@ -588,10 +537,9 @@ QueryReply QuantileService::run_rank(const QueryRequest& request,
   return reply;
 }
 
-QueryReply QuantileService::run_cdf(const QueryRequest& request,
-                                    std::uint64_t /*seed*/) {
+QueryReply QuantileService::run_cdf(const QueryRequest& request) {
+  GQ_SPAN("service/query_cdf");
   const std::size_t points = request.cdf_points.size();
-  GQ_REQUIRE(points > 0, "kCdf needs at least one probe point");
   QueryReply reply;
   reply.kind = QueryKind::kCdf;
   reply.cdf_counts.reserve(points);
@@ -659,7 +607,8 @@ ServiceStats QuantileService::stats() const {
   s.session_extends = session_.extends();
   s.session_reuse_hits = session_.reuse_hits();
   s.engine_rebuilds = engine_rebuilds_;
-  s.gossip_rounds = engine_ != nullptr ? engine_->metrics().rounds : 0;
+  s.gossip_rounds =
+      retired_rounds_ + (engine_ != nullptr ? engine_->metrics().rounds : 0);
   s.seal_recomputed_slots = seal_recomputed_slots_;
   s.retry_attempts = retry_attempts_;
   s.degraded_answers = degraded_answers_;

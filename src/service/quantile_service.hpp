@@ -57,19 +57,20 @@
 //
 // ## Resilience
 //
-// Every gossip-backed query runs under the deterministic supervisor
-// (core/supervisor.hpp): a failed attempt — pipeline abort, served fraction
-// below policy, round deadline — retries with a reseeded stream and
-// escalated parameters, up to the configured budget.  Attempt 0 uses the
-// query's own seed with untouched parameters, so a query whose first
-// attempt succeeds is bit-identical to the pre-supervision service (and to
-// a cold one-shot run).  When the budget is exhausted the service *degrades
-// instead of throwing*: the reply is answered from the sealed epoch's
-// merged summary sketch (rank error <= the sketch's bound), tagged
-// AnswerQuality::kDegraded with the bound in error_bound.  Under
-// kLocalQuantile that sketch is built from the frozen instance on the
-// epoch's first degraded reply; under kGlobalResample it merges the live
-// streams, which keep changing after the seal, so the seal builds it.
+// Every gossip-backed query runs through the deterministic supervisor,
+// supervise() in core/supervisor.hpp: a failed attempt — pipeline abort,
+// served fraction below policy, round deadline — retries with a reseeded
+// stream and escalated parameters (approximate quantiles move to the
+// filtered robust pipeline), up to the configured budget.  Attempt 0 uses
+// the query's own seed with untouched parameters, so a query whose first
+// attempt succeeds is bit-identical to a cold one-shot run.  When the
+// budget is exhausted the service *degrades instead of throwing*: the reply
+// is answered from the sealed epoch's merged summary sketch (rank error <=
+// the sketch's bound), tagged AnswerQuality::kDegraded with the bound in
+// error_bound.  Under kLocalQuantile that sketch is built from the frozen
+// instance on the epoch's first degraded reply; under kGlobalResample it
+// merges the live streams, which keep changing after the seal, so the seal
+// builds it.
 //
 // A per-QueryKind circuit breaker sits in front of the supervisor: after
 // `breaker.open_after` consecutive exhausted queries of one kind the
@@ -82,11 +83,11 @@
 //
 // ## Errors
 //
-// With degrade_on_exhaustion = false, kExactQuantile propagates the last
-// attempt's ExactPipelineError (recoverable — the service and its engine
-// stay usable; see core/result.hpp) once the supervisor budget is spent.
-// Structural misuse (unknown node ids, ingest into departed nodes, NaN
-// values, queries with fewer than two contributing nodes) throws
+// Gossip faults never throw: a pipeline abort (a typed ExactPipelineError,
+// see core/result.hpp) or a convergence failure is a failed attempt, and an
+// exhausted budget degrades.  Structural misuse (unknown node ids, ingest
+// into departed nodes, NaN values, malformed requests, queries with fewer
+// than two contributing nodes, a zero attempt budget) throws
 // std::invalid_argument via GQ_REQUIRE regardless — misuse is a bug, not a
 // fault to absorb.
 #pragma once
@@ -121,7 +122,7 @@ struct ServiceStats {
   std::uint64_t session_extends = 0;   // incremental table merges paid
   std::uint64_t session_reuse_hits = 0;  // seals with zero new keys
   std::uint64_t engine_rebuilds = 0;   // membership-change reconstructions
-  std::uint64_t gossip_rounds = 0;     // engine rounds across all queries
+  std::uint64_t gossip_rounds = 0;     // rounds of every engine so far
   // Instance slots recomputed by seals: a trickle seal adds its touched
   // nodes, a membership change or kGlobalResample seal adds m.
   std::uint64_t seal_recomputed_slots = 0;
@@ -213,22 +214,22 @@ class QuantileService {
   [[nodiscard]] std::uint64_t next_query_seed(const QueryRequest& request);
   void prepare_engine(std::uint64_t seed);
 
-  // One supervised query: breaker consultation, attempt loop, degraded
-  // fallback.  `dispatch` runs the kind-specific pipeline body.
+  // One supervised query: request validation, breaker consultation, the
+  // supervise() attempt loop dispatching on the query kind, and the degraded
+  // fallback on exhaustion.
   QueryReply run_resilient(const QueryRequest& request, std::uint64_t seed);
-  QueryReply run_attempts(const QueryRequest& request, std::uint64_t seed,
-                          std::uint32_t max_attempts, bool& exhausted);
   QueryReply degraded_reply(const QueryRequest& request, std::uint64_t seed,
                             std::uint32_t attempts_spent);
   void record_outcome(Breaker& breaker, bool exhausted);
 
-  QueryReply run_quantile(const QueryRequest& request, std::uint64_t seed,
-                          const AttemptPlan& plan);
-  QueryReply run_exact(const QueryRequest& request, std::uint64_t seed);
-  QueryReply run_rank(const QueryRequest& request, std::uint64_t seed);
-  QueryReply run_cdf(const QueryRequest& request, std::uint64_t seed);
+  // One attempt's pipeline body per kind, on the engine prepare_engine
+  // rebased onto the attempt's seed.
+  QueryReply run_quantile(const QueryRequest& request, const AttemptPlan& plan);
+  QueryReply run_exact(const QueryRequest& request);
+  QueryReply run_rank(const QueryRequest& request);
+  QueryReply run_cdf(const QueryRequest& request);
   QueryReply run_multi_quantile(const QueryRequest& request,
-                                std::uint64_t seed, const AttemptPlan& plan);
+                                const AttemptPlan& plan);
 
   ServiceConfig cfg_;
   // Index = node id; departed nodes leave a null slot (ids stay stable).
@@ -250,6 +251,7 @@ class QuantileService {
   std::uint64_t queries_ = 0;
   std::uint64_t ingested_ = 0;
   std::uint64_t engine_rebuilds_ = 0;
+  std::uint64_t retired_rounds_ = 0;  // rounds of engines replaced by a seal
   std::vector<bool> indicator_a_, indicator_b_, indicator_c_;  // rank scratch
   std::array<LogHistogram, 5> query_latency_ns_;  // indexed by QueryKind
 

@@ -85,18 +85,14 @@ struct ServiceConfig {
   // under an installed adversary too.
   AdversaryStrategy* adversary = nullptr;
 
-  // Retry/escalation budget every query runs under (core/supervisor.hpp).
-  // With the defaults a clean first attempt is transcript-identical to the
-  // unsupervised pipeline, so zero-fault services never see the supervisor.
+  // Retry/escalation budget every query runs under (supervise() in
+  // core/supervisor.hpp; max_attempts must be at least 1).  A clean first
+  // attempt is transcript-identical to the unsupervised pipeline, so
+  // zero-fault services never see the supervisor.  An exhausted budget
+  // serves a kDegraded answer from the epoch's summary sketch.
   SupervisorPolicy supervisor;
 
   CircuitBreakerConfig breaker;
-
-  // When the supervisor exhausts its budget: true serves a kDegraded answer
-  // from the epoch's merged summary sketch; false rethrows the last
-  // attempt's failure (pre-resilience behaviour, kept for tests and for
-  // callers that prefer loud failure over approximate answers).
-  bool degrade_on_exhaustion = true;
 
   // A session table more than this many times larger than the current
   // instance's node count is compacted by a full re-intern on the next

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,16 +134,15 @@ TEST(Supervisor, AttemptSeedsAndPlansAreDeterministic) {
   EXPECT_NE(streams::attempt_seed(1234, 1), streams::attempt_seed(1234, 2));
   EXPECT_EQ(streams::attempt_seed(1234, 3), streams::attempt_seed(1234, 3));
 
-  SupervisorPolicy policy;
-  const AttemptPlan first = plan_attempt(policy, 77, 0);
+  const AttemptPlan first = plan_attempt(77, 0);
   EXPECT_EQ(first.seed, 77u);
   EXPECT_DOUBLE_EQ(first.eps_scale, 1.0);
   EXPECT_EQ(first.fanout_boost, 0u);
   EXPECT_FALSE(first.robust_promoted);
 
-  const AttemptPlan second = plan_attempt(policy, 77, 2);
-  EXPECT_DOUBLE_EQ(second.eps_scale, policy.eps_growth * policy.eps_growth);
-  EXPECT_EQ(second.fanout_boost, 2 * policy.fanout_step);
+  const AttemptPlan second = plan_attempt(77, 2);
+  EXPECT_DOUBLE_EQ(second.eps_scale, kEpsGrowth * kEpsGrowth);
+  EXPECT_EQ(second.fanout_boost, 2 * kFanoutStep);
   EXPECT_TRUE(second.robust_promoted);
 }
 
@@ -583,24 +581,55 @@ TEST(ServiceResilience, NeverThrowsUnderAggressiveChurn) {
   EXPECT_GT(service.stats().degraded_answers, 0u);
 }
 
-TEST(ServiceResilience, ExhaustionThrowsWhenDegradeDisabled) {
-  constexpr std::uint32_t kNodes = 48;
-  ServiceConfig cfg = resilient_config(1);
-  cfg.supervisor.max_attempts = 1;
-  cfg.supervisor.min_served_fraction = 1.5;
-  cfg.degrade_on_exhaustion = false;
-  QuantileService service(kNodes, cfg);
-  ingest_fixture(service, kNodes, 5, 17);
-
+// Attempt 0 of this query takes the exact fallback (eps below the floor)
+// and aborts in the selection endgame under uniform(0.3) loss; the retry
+// reseeds, promotes to the filtered robust pipeline and serves in full.
+// This is the supervisor's exception branch inside the service, pinned at
+// every thread count.
+TEST(ServiceResilience, AbortedAttemptRecoversOnRetry) {
+  constexpr std::uint32_t kNodes = 1024;
+  constexpr std::uint64_t kSeed = 619;
+  const auto values = generate_values(Distribution::kGaussian, kNodes, 61);
   QueryRequest request;
   request.kind = QueryKind::kQuantile;
-  EXPECT_THROW((void)service.query(request), std::runtime_error);
-  // A thrown exhaustion never reaches the breaker (loud failure stays
-  // loud and consistent), and the service remains usable.
-  EXPECT_THROW((void)service.query(request), std::runtime_error);
-  EXPECT_EQ(service.breaker_state(QueryKind::kQuantile),
-            QuantileService::BreakerState::kClosed);
-  EXPECT_EQ(service.stats().degraded_answers, 0u);
+  request.phi = 0.5;
+  request.eps = 0.05;
+  request.seed = kSeed;
+
+  std::vector<QueryReply> replies;
+  for (unsigned threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    ServiceConfig cfg = resilient_config(threads);
+    cfg.failures = FailureModel::uniform(0.3);
+    QuantileService service(kNodes, cfg);
+    for (std::uint32_t v = 0; v < kNodes; ++v) service.ingest(v, values[v]);
+    const QueryReply reply = service.query(request);
+
+    // The bare first attempt over the sealed instance throws.
+    ApproxQuantileParams params = cfg.approx;
+    params.phi = request.phi;
+    params.eps = request.eps;
+    Engine engine(kNodes, kSeed, cfg.failures, cfg.engine);
+    try {
+      (void)approx_quantile_keys(engine, service.epoch_keys(), params);
+      ADD_FAILURE() << "attempt 0 did not abort";
+    } catch (const ExactPipelineError& error) {
+      EXPECT_EQ(error.kind(), ExactPipelineError::Kind::kEndgameNoCandidates);
+    }
+
+    EXPECT_EQ(reply.quality, AnswerQuality::kFull);
+    EXPECT_EQ(reply.attempts, 2u);
+    EXPECT_EQ(reply.seed, streams::attempt_seed(kSeed, 1));
+    EXPECT_EQ(service.stats().retry_attempts, 1u);
+    EXPECT_EQ(service.stats().degraded_answers, 0u);
+    replies.push_back(reply);
+  }
+  for (std::size_t i = 1; i < replies.size(); ++i) {
+    EXPECT_EQ(replies[i].transcript_hash, replies[0].transcript_hash);
+    EXPECT_EQ(replies[i].rounds, replies[0].rounds);
+    EXPECT_EQ(replies[i].served, replies[0].served);
+    EXPECT_EQ(replies[i].answer, replies[0].answer);
+  }
 }
 
 }  // namespace

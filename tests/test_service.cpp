@@ -633,6 +633,44 @@ TEST(Service, PrometheusExportsSealRecomputedSlots) {
             std::string::npos);
 }
 
+// gossip_rounds is a lifetime counter: a seal that changes m replaces the
+// engine, and the retired engine's rounds stay counted.  Failure-free, every
+// query is served by its first attempt, so the counter is exactly the sum
+// of the replies' rounds.
+TEST(Service, GossipRoundsSurviveReshards) {
+  constexpr std::uint32_t kNodes = 120;
+  QuantileService service(kNodes, service_config(2));
+  ingest_fixture(service, kNodes, 4, 37);
+  std::uint64_t reply_rounds = 0;
+  std::uint64_t last = 0;
+  for (std::uint32_t step = 0; step < 15; ++step) {
+    SCOPED_TRACE(step);
+    if (step % 5 == 2) {
+      service.ingest(service.join(), 0.3 + 0.01 * step);
+    } else if (step % 5 == 4) {
+      service.leave(step);
+    }
+    const QueryReply reply = service.query(call_log_request(step));
+    EXPECT_EQ(reply.attempts, 1u);
+    reply_rounds += reply.rounds;
+    const std::uint64_t rounds = service.stats().gossip_rounds;
+    EXPECT_GE(rounds, last);
+    EXPECT_EQ(rounds, reply_rounds);
+    last = rounds;
+  }
+  EXPECT_EQ(service.stats().engine_rebuilds, 7u);  // first seal + 6 re-shards
+  EXPECT_NE(service.prometheus_text().find(
+                "gq_service_gossip_rounds_total " +
+                std::to_string(reply_rounds) + "\n"),
+            std::string::npos);
+}
+
+TEST(Service, ZeroAttemptBudgetIsRejectedAtConstruction) {
+  ServiceConfig cfg = service_config(1);
+  cfg.supervisor.max_attempts = 0;
+  EXPECT_THROW((void)QuantileService(8, cfg), std::invalid_argument);
+}
+
 // ---- degraded replies: golden values ---------------------------------------
 
 // One service's degraded answers to golden_requests(), in request order.
