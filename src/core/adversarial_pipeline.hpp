@@ -75,19 +75,16 @@ struct QualityReport {
   // the *effective* influence far lower.
   double corruption_exposure = 0.0;
 
-  // The thresholds this run was judged against, copied from the params so
-  // the single acceptance predicate below travels with the report.
+  // The threshold this run was judged against, copied from the params so
+  // the acceptance predicate below travels with the report.
   double min_served_fraction = 0.0;
-  double max_corruption_exposure = 1.0;
 
-  // The run's own acceptance predicate against the thresholds in its params:
-  // enough of the network served AND the adversary touched an acceptable
-  // fraction of traffic.  Tests and examples judge a bare run with it; the
-  // supervisor judges attempts against its own SupervisorPolicy instead
-  // (core/supervisor.hpp).
+  // The run's own acceptance predicate against the threshold in its params:
+  // enough of the network served.  Tests and examples judge a bare run with
+  // it; the supervisor judges attempts against its own SupervisorPolicy
+  // instead (core/supervisor.hpp).
   [[nodiscard]] bool ok() const noexcept {
-    return served_fraction >= min_served_fraction &&
-           corruption_exposure <= max_corruption_exposure;
+    return served_fraction >= min_served_fraction;
   }
 
   friend bool operator==(const QualityReport&, const QualityReport&) = default;
@@ -111,11 +108,9 @@ struct AdversarialQuantileParams {
   // base paper; unchanged by filtering).
   bool truncate_last = true;
 
-  // Acceptance thresholds recorded into QualityReport (see ok()): minimum
-  // served fraction, and maximum fraction of traffic the adversary may
-  // have touched.
+  // Acceptance threshold recorded into QualityReport (see ok()): minimum
+  // served fraction.
   double min_served_fraction = 0.5;
-  double max_corruption_exposure = 1.0;
 };
 
 struct AdversarialQuantileResult {
@@ -147,7 +142,6 @@ struct AdversarialMeanParams {
   std::uint32_t mean_sample_rounds = 48;
 
   double min_served_fraction = 0.5;
-  double max_corruption_exposure = 1.0;
 };
 
 struct AdversarialMeanResult {
@@ -346,8 +340,8 @@ inline void observe_block(Exec& exec, std::uint64_t first_round,
 }
 
 inline QualityReport make_quality(const Metrics& delta, std::uint64_t served,
-                                  std::uint32_t n, double min_served_fraction,
-                                  double max_corruption_exposure) {
+                                  std::uint32_t n,
+                                  double min_served_fraction) {
   QualityReport quality;
   quality.served_fraction =
       static_cast<double>(served) / static_cast<double>(n);
@@ -364,7 +358,6 @@ inline QualityReport make_quality(const Metrics& delta, std::uint64_t served,
           ? static_cast<double>(touched) / static_cast<double>(delta.messages)
           : 0.0;
   quality.min_served_fraction = min_served_fraction;
-  quality.max_corruption_exposure = max_corruption_exposure;
   return quality;
 }
 
@@ -563,8 +556,7 @@ AdversarialQuantileResult adversarial_quantile_impl(
   const Metrics delta = exec.metrics().since(before);
   result.rounds = delta.rounds;
   result.quality = make_quality(delta, result.served_nodes(), n,
-                                params.min_served_fraction,
-                                params.max_corruption_exposure);
+                                params.min_served_fraction);
   return result;
 }
 
@@ -668,8 +660,7 @@ AdversarialMeanResult adversarial_mean_impl(Exec& exec,
   const Metrics delta = exec.metrics().since(before);
   result.rounds = delta.rounds;
   result.quality = make_quality(delta, result.served_nodes(), n,
-                                params.min_served_fraction,
-                                params.max_corruption_exposure);
+                                params.min_served_fraction);
   return result;
 }
 

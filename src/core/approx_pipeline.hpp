@@ -5,18 +5,22 @@
 // the eps-floor fallback decision, the Lemma-2.11 phase2_eps choice, the
 // failure-free vs robust routing, and the coverage call are all observable
 // in outputs, round counts, and Metrics, so the sequential Network path and
-// the parallel Engine must execute ONE copy of this logic.  The template
-// takes the executor itself and calls its per-executor overloads by
+// the parallel Engine must execute ONE copy of this logic.  The failure-free
+// route is one lane of the shared tournament schedule
+// (core/multi_pipeline.hpp: shared_tournament), traced as
+// approx/two_tournament and approx/three_tournament.  The template takes
+// the executor itself and calls its per-executor overloads by
 // argument-dependent lookup:
 //
 //   exact_quantile_keys                        (the eps-floor fallback)
-//   two_tournament, three_tournament           (failure-free phases)
+//   multi_tournament_begin, multi_two_iteration, multi_three_iteration,
+//   multi_final_sample                         (failure-free phases)
 //   robust_two_tournament, robust_three_tournament, robust_coverage
 //
-// declared for Network in core/{exact_quantile,two_tournament,
-// three_tournament,robust}.hpp and for Engine in engine/pipelines.hpp and
-// engine/kernels.hpp.  Instantiated by core/approx_quantile.cpp (Network)
-// and engine/pipelines.cpp (Engine); bit-identity of the two is pinned by
+// declared for Network in core/{exact_quantile,multi_pipeline,robust}.hpp
+// and for Engine in engine/pipelines.hpp and engine/kernels.hpp.
+// Instantiated by core/approx_quantile.cpp (Network) and
+// engine/pipelines.cpp (Engine); bit-identity of the two is pinned by
 // tests/test_engine.cpp and tests/test_engine_robust.cpp.
 #pragma once
 
@@ -26,11 +30,10 @@
 
 #include "analysis/theory_bounds.hpp"
 #include "core/exact_quantile.hpp"
+#include "core/multi_pipeline.hpp"
 #include "core/params.hpp"
 #include "core/result.hpp"
 #include "core/robust.hpp"
-#include "core/three_tournament.hpp"
-#include "core/two_tournament.hpp"
 #include "sim/key.hpp"
 #include "sim/metrics.hpp"
 #include "telemetry/telemetry.hpp"
@@ -47,6 +50,8 @@ ApproxQuantileResult approx_quantile_keys_impl(
   GQ_REQUIRE(params.phi >= 0.0 && params.phi <= 1.0, "phi must lie in [0,1]");
   GQ_REQUIRE(params.eps > 0.0 && params.eps < 0.5,
              "eps must lie in (0, 1/2)");
+  GQ_REQUIRE(params.final_sample_size >= 1,
+             "final sample size must be positive");
 
   GQ_SPAN("pipeline/approx_quantile");
   const Metrics before = exec.metrics();
@@ -67,28 +72,19 @@ ApproxQuantileResult approx_quantile_keys_impl(
   }
 
   ApproxQuantileResult out;
-  std::vector<Key> state(keys.begin(), keys.end());
-  // Phase II approximates the median of the Phase-I configuration to eps/4:
-  // by Lemma 2.11 every quantile in [1/2 - eps/4, 1/2 + eps/4] of that
-  // configuration lies in the original [phi - eps, phi + eps] window.
-  const double phase2_eps = params.eps / 4.0;
-
   if (exec.faultless()) {
-    const auto p1 = [&] {
-      GQ_SPAN("approx/two_tournament");
-      return two_tournament(exec, state, params.phi, params.eps,
-                            params.truncate_last);
-    }();
-    const auto p2 = [&] {
-      GQ_SPAN("approx/three_tournament");
-      return three_tournament(exec, state, phase2_eps,
-                              params.final_sample_size);
-    }();
-    out.phase1_iterations = p1.iterations;
-    out.phase2_iterations = p2.iterations;
-    out.outputs = p2.outputs;
-    out.valid.assign(n, true);
+    static const multi_detail::PhaseSpans spans{
+        telemetry::register_span("approx/two_tournament"),
+        telemetry::register_span("approx/three_tournament")};
+    multi_detail::shared_tournament(
+        exec, keys, std::span<const double>(&params.phi, 1), params.eps,
+        params.final_sample_size, params.truncate_last, spans,
+        std::span<ApproxQuantileResult>(&out, 1));
   } else {
+    // Phase II approximates the median of the Phase-I configuration to
+    // eps/4, as on the failure-free route (Lemma 2.11).
+    const double phase2_eps = params.eps / 4.0;
+    std::vector<Key> state(keys.begin(), keys.end());
     std::vector<bool> good(n, true);
     const auto p1 = [&] {
       GQ_SPAN("approx/robust_two_tournament");

@@ -53,6 +53,14 @@
 
 namespace gq::exact_detail {
 
+// Safety cap on bracketing iterations (the paper uses a fixed 25; we
+// terminate adaptively once the duplicated answer block covers the final
+// approximation window, see DESIGN.md).
+inline constexpr std::uint32_t kMaxIterations = 64;
+
+// Cap on selection-endgame phases (only reached for pathological inputs).
+inline constexpr std::uint32_t kMaxEndgamePhases = 256;
+
 // Structured throw-site context for ExactPipelineError: which run (seed, n)
 // aborted, where (phase label), and when.  The round is the executor's
 // stream-relative counter (reset by reset_stream), not lifetime Metrics
@@ -105,7 +113,6 @@ Key broadcast_min_valued(Exec& exec, const std::vector<Key>& contributions,
 template <typename Exec>
 PipelineOutcome selection_endgame(Exec& exec, std::vector<Key>& inst,
                                   std::uint64_t k,
-                                  const ExactQuantileParams& params,
                                   std::size_t iterations_so_far,
                                   ExactRoundBreakdown& spent) {
   GQ_SPAN("exact/selection_endgame");
@@ -116,7 +123,7 @@ PipelineOutcome selection_endgame(Exec& exec, std::vector<Key>& inst,
   Key lo_e = Key::neg_infinite();
   Key hi_e = Key::infinite();
   std::vector<bool> candidate(n);
-  for (std::uint32_t phase = 0; phase < params.max_endgame_phases; ++phase) {
+  for (std::uint32_t phase = 0; phase < kMaxEndgamePhases; ++phase) {
     GQ_SPAN("exact/endgame_phase");
     for (std::uint32_t v = 0; v < n; ++v) {
       candidate[v] =
@@ -276,7 +283,7 @@ PipelineOutcome run_pipeline(Exec& exec, std::span<const Key> keys,
   targets.phis.resize(2);
 
   const auto endgame = [&] {
-    return selection_endgame(exec, inst, k, params, out.iterations, spent);
+    return selection_endgame(exec, inst, k, out.iterations, spent);
   };
 
   while (true) {
@@ -302,7 +309,7 @@ PipelineOutcome run_pipeline(Exec& exec, std::span<const Key> keys,
       out.valid.assign(n, true);
       return out;
     }
-    if (out.iterations >= params.max_iterations) return endgame();
+    if (out.iterations >= kMaxIterations) return endgame();
     ++out.iterations;
     GQ_SPAN("exact/iteration");
 
@@ -392,7 +399,7 @@ PipelineOutcome run_pipeline(Exec& exec, std::span<const Key> keys,
       case ExactStrategy::kPreferDuplication:
         // A degenerate multiplier usually means an outlier widened the
         // window; re-bracketing with fresh randomness shrinks it again, so
-        // keep iterating (max_iterations still bounds the loop).
+        // keep iterating (kMaxIterations still bounds the loop).
         go_endgame = false;
         break;
       case ExactStrategy::kAuto: {

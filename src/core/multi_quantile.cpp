@@ -53,8 +53,8 @@ void multi_two_iteration(Network& net, std::span<const MultiLaneStep> steps) {
   }
 
   // Round B: per-lane delta coins in lane order (delta >= 1.0 consumes
-  // no draw, as in core/two_tournament.cpp), then — if any lane
-  // tournaments — one shared second sample carrying those lanes.
+  // no draw), then — if any lane tournaments — one shared second sample
+  // carrying those lanes.
   net.begin_round();
   for (std::uint32_t v = 0; v < n; ++v) {
     SplitMix64 stream = net.node_stream(v);
@@ -143,6 +143,14 @@ void multi_final_sample(Network& net, std::uint32_t k_samples,
       outputs[l][v] = *mid;
     }
   }
+}
+
+void multi_lane_export(Network& net, std::uint32_t lane,
+                       std::span<Key> state) {
+  const auto& s = net.scratch<NetworkMultiScratch>();
+  GQ_REQUIRE(lane < s.state.size() && state.size() == net.size(),
+             "export needs a live lane and one key per node");
+  std::copy(s.state[lane].begin(), s.state[lane].end(), state.begin());
 }
 
 MultiQuantileResult multi_quantile_keys(Network& net,

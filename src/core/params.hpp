@@ -52,14 +52,6 @@ struct ExactQuantileParams {
   double slack = 0.0;
 
   ExactStrategy strategy = ExactStrategy::kAuto;
-
-  // Safety cap on bracketing iterations (the paper uses a fixed 25; we
-  // terminate adaptively once the duplicated answer block covers the final
-  // approximation window, see DESIGN.md).
-  std::uint32_t max_iterations = 64;
-
-  // Cap on selection-endgame phases (only reached for pathological inputs).
-  std::uint32_t max_endgame_phases = 256;
 };
 
 struct OwnRankParams {

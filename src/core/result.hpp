@@ -31,8 +31,8 @@ class ExactPipelineError : public std::runtime_error {
     // The selection endgame found no remaining candidate between its
     // brackets: an exact count must have been wrong.
     kEndgameNoCandidates,
-    // The selection endgame exhausted max_endgame_phases without landing
-    // on rank k.
+    // The selection endgame exhausted kMaxEndgamePhases
+    // (core/exact_pipeline.hpp) without landing on rank k.
     kEndgameStalled,
     // Bracketing discarded every candidate (rank counts inconsistent).
     kBracketingEmptied,

@@ -1,81 +1,15 @@
 #include "core/three_tournament.hpp"
 
-#include <algorithm>
-#include <array>
-
-#include "util/require.hpp"
+#include "core/multi_pipeline.hpp"
 
 namespace gq {
-namespace {
-
-const Key& median3(const Key& a, const Key& b, const Key& c) {
-  if (a < b) {
-    if (b < c) return b;
-    return a < c ? c : a;
-  }
-  if (a < c) return a;
-  return b < c ? c : b;
-}
-
-}  // namespace
 
 ThreeTournamentOutcome three_tournament(Network& net, std::vector<Key>& state,
                                         double eps,
                                         std::uint32_t final_sample_size,
                                         const TournamentObserver& observer) {
-  const std::uint32_t n = net.size();
-  GQ_REQUIRE(state.size() == n, "one key per node required");
-  GQ_REQUIRE(eps > 0.0 && eps < 0.5, "eps must lie in (0, 1/2)");
-  GQ_REQUIRE(final_sample_size >= 1, "final sample size must be positive");
-  GQ_REQUIRE(net.faultless(),
-             "three_tournament is the failure-free variant; use "
-             "robust_three_tournament under a failure model or adversary");
-  const std::uint32_t k_samples = final_sample_size | 1u;  // force odd
-
-  ThreeTournamentOutcome out;
-  out.schedule = three_tournament_schedule(eps, n);
-  const std::uint64_t bits = key_bits(n);
-
-  std::vector<Key> snapshot(n);
-  std::vector<std::array<std::uint32_t, 3>> picks(n);
-  for (std::size_t iter = 0; iter < out.schedule.iterations(); ++iter) {
-    snapshot = state;
-    // Three pulls = three rounds; all read the iteration-start snapshot.
-    for (int pull = 0; pull < 3; ++pull) {
-      net.begin_round();
-      for (std::uint32_t v = 0; v < n; ++v) {
-        SplitMix64 stream = net.node_stream(v);
-        picks[v][pull] = net.sample_peer(v, stream);
-        net.record_message(bits);
-      }
-    }
-    for (std::uint32_t v = 0; v < n; ++v) {
-      state[v] = median3(snapshot[picks[v][0]], snapshot[picks[v][1]],
-                         snapshot[picks[v][2]]);
-    }
-    ++out.iterations;
-    if (observer) observer(out.iterations, state);
-  }
-
-  // Final step: every node samples K values and outputs their median.
-  std::vector<std::vector<Key>> samples(n);
-  for (auto& s : samples) s.reserve(k_samples);
-  for (std::uint32_t j = 0; j < k_samples; ++j) {
-    net.begin_round();
-    for (std::uint32_t v = 0; v < n; ++v) {
-      SplitMix64 stream = net.node_stream(v);
-      samples[v].push_back(state[net.sample_peer(v, stream)]);
-      net.record_message(bits);
-    }
-  }
-  out.outputs.resize(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    auto& s = samples[v];
-    const auto mid = s.begin() + s.size() / 2;
-    std::nth_element(s.begin(), mid, s.end());
-    out.outputs[v] = *mid;
-  }
-  return out;
+  return multi_detail::three_tournament_impl(net, state, eps,
+                                             final_sample_size, observer);
 }
 
 }  // namespace gq

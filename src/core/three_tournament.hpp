@@ -9,6 +9,10 @@
 // outputs their median, which lands inside the window w.h.p. (Lemma 2.17).
 //
 // Each iteration costs three gossip rounds; the final step costs K rounds.
+//
+// three_tournament runs one lane of the shared tournament kernels
+// (core/multi_pipeline.hpp: three_tournament_impl) on either executor; the
+// Engine overload is declared in engine/kernels.hpp.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +34,8 @@ struct ThreeTournamentOutcome {
 
 // Runs Algorithm 2 on `state` (modified in place) in the failure-free
 // model; returns per-node outputs whose quantile lies in [1/2-eps, 1/2+eps]
-// w.h.p.  `final_sample_size` is forced odd.
+// w.h.p.  `final_sample_size` is forced odd.  The observer's last view is
+// the state the call leaves behind.
 ThreeTournamentOutcome three_tournament(
     Network& net, std::vector<Key>& state, double eps,
     std::uint32_t final_sample_size = 15,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/require.hpp"
+#include "core/multi_pipeline.hpp"
 
 namespace gq {
 
@@ -17,57 +17,8 @@ TwoTournamentOutcome two_tournament(Network& net, std::vector<Key>& state,
                                     double phi, double eps,
                                     bool truncate_last,
                                     const TournamentObserver& observer) {
-  const std::uint32_t n = net.size();
-  GQ_REQUIRE(state.size() == n, "one key per node required");
-  GQ_REQUIRE(phi >= 0.0 && phi <= 1.0, "phi must lie in [0,1]");
-  GQ_REQUIRE(eps > 0.0 && eps < 0.5, "eps must lie in (0, 1/2)");
-  GQ_REQUIRE(net.faultless(),
-             "two_tournament is the failure-free variant; use "
-             "robust_two_tournament under a failure model or adversary");
-
-  TwoTournamentOutcome out;
-  const auto [side, start] = tournament_side(phi, eps);
-  out.side = side;
-  out.schedule = two_tournament_schedule(start, eps);
-  const bool suppress_high = side == TournamentSide::kSuppressHigh;
-  const std::uint64_t bits = key_bits(n);
-
-  std::vector<Key> snapshot(n);
-  for (std::size_t iter = 0; iter < out.schedule.iterations(); ++iter) {
-    const double delta =
-        truncate_last ? out.schedule.delta[iter] : 1.0;
-    snapshot = state;
-
-    // Round 1: every node pulls its first sample.
-    net.begin_round();
-    std::vector<std::uint32_t> first(n);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      SplitMix64 stream = net.node_stream(v);
-      first[v] = net.sample_peer(v, stream);
-      net.record_message(bits);
-    }
-
-    // Round 2: the delta coin and, if it lands, the second sample.
-    net.begin_round();
-    for (std::uint32_t v = 0; v < n; ++v) {
-      SplitMix64 stream = net.node_stream(v);
-      const bool tournament =
-          delta >= 1.0 || rand_bernoulli(stream, delta);
-      if (tournament) {
-        const std::uint32_t second = net.sample_peer(v, stream);
-        net.record_message(bits);
-        const Key& a = snapshot[first[v]];
-        const Key& b = snapshot[second];
-        state[v] = suppress_high ? std::min(a, b) : std::max(a, b);
-      } else {
-        state[v] = snapshot[first[v]];
-      }
-    }
-
-    ++out.iterations;
-    if (observer) observer(out.iterations, state);
-  }
-  return out;
+  return multi_detail::two_tournament_impl(net, state, phi, eps,
+                                           truncate_last, observer);
 }
 
 }  // namespace gq

@@ -11,6 +11,12 @@
 // Each iteration costs two gossip rounds (two pulls).  Both pulls observe
 // the configuration at the start of the iteration, matching the process the
 // paper analyzes.
+//
+// two_tournament runs one lane of the shared tournament kernels
+// (core/multi_pipeline.hpp: two_tournament_impl) on either executor; the
+// Engine overload is declared in engine/kernels.hpp.  The approx pipeline
+// does not call it: its failure-free route runs the same lane kernels
+// through the shared schedule directly.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +49,8 @@ struct TwoTournamentOutcome {
 
 // Runs Algorithm 1 in place on `state` (one key per node) in the
 // failure-free model.  `truncate_last=false` replaces the delta-truncated
-// final iteration with a full tournament (ablation A1).
+// final iteration with a full tournament (ablation A1).  The observer's
+// last view is the state the call leaves behind.
 TwoTournamentOutcome two_tournament(Network& net, std::vector<Key>& state,
                                     double phi, double eps,
                                     bool truncate_last = true,

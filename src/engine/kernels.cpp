@@ -287,227 +287,18 @@ MedianRuleResult median_rule_keys(Engine& engine, std::span<const Key> keys,
   return out;
 }
 
-TwoTournamentOutcome two_tournament(Engine& engine, std::vector<Key>& state,
-                                    double phi, double eps,
-                                    bool truncate_last) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(state.size() == n, "one key per node required");
-  GQ_REQUIRE(phi >= 0.0 && phi <= 1.0, "phi must lie in [0,1]");
-  GQ_REQUIRE(eps > 0.0 && eps < 0.5, "eps must lie in (0, 1/2)");
-  GQ_REQUIRE(engine.faultless(),
-             "two_tournament is the failure-free variant; use "
-             "robust_two_tournament under a failure model or adversary");
-
-  TwoTournamentOutcome out;
-  const auto [side, start] = tournament_side(phi, eps);
-  out.side = side;
-  out.schedule = two_tournament_schedule(start, eps);
-  const bool suppress_high = side == TournamentSide::kSuppressHigh;
-  const std::uint64_t bits = key_bits(n);
-  const std::uint32_t block = engine.gather_block();
-
-  auto& picks = engine.scratch<PickScratch>();
-  picks.ensure(n);
-  const std::span<std::uint32_t> first = picks.p0.span(n);
-  const std::span<std::uint32_t> second = picks.p1.span(n);
-  auto& lanes = engine.scratch<LaneScratch>();
-  lane_import(engine, state, lanes);
-  std::span<std::uint32_t> cur(lanes.lane_a.data(), n);
-  std::span<std::uint32_t> next(lanes.lane_b.data(), n);
-
-  for (std::size_t iter = 0; iter < out.schedule.iterations(); ++iter) {
-    GQ_SPAN("tournament/two_iteration");
-    const double delta = truncate_last ? out.schedule.delta[iter] : 1.0;
-
-    // Round 1: every node pulls its first sample.  Pick pass only; `cur`
-    // is the iteration snapshot and stays immutable until the commit.
-    engine.begin_round();
-    engine.parallel_shards(
-        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-          for (std::uint32_t v = begin; v < end; ++v) {
-            SplitMix64 stream = engine.node_stream(v);
-            first[v] = engine.sample_peer(v, stream);
-          }
-          local.record_messages(end - begin, bits);
-        });
-
-    // Round 2: the delta coin and, if it lands, the second sample — then
-    // the tournament commit, blocked: draws, prefetches over both samples'
-    // rank lines, compute against warm lines.  Per-node draw order (coin,
-    // then peer, from one stream) is exactly the sequential path's.
-    engine.begin_round();
-    engine.parallel_shards(
-        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-          std::uint64_t sent = 0;
-          for (std::uint32_t b0 = begin; b0 < end; b0 += block) {
-            const std::uint32_t b1 = std::min(b0 + block, end);
-            for (std::uint32_t v = b0; v < b1; ++v) {
-              SplitMix64 stream = engine.node_stream(v);
-              const bool tournament =
-                  delta >= 1.0 || rand_bernoulli(stream, delta);
-              if (tournament) {
-                second[v] = engine.sample_peer(v, stream);
-                ++sent;
-              } else {
-                second[v] = Engine::kNoPeer;
-              }
-            }
-            for (std::uint32_t v = b0; v < b1; ++v) {
-              prefetch_read(&cur[first[v]]);
-              if (second[v] != Engine::kNoPeer) {
-                prefetch_read(&cur[second[v]]);
-              }
-            }
-            for (std::uint32_t v = b0; v < b1; ++v) {
-              const std::uint32_t a = cur[first[v]];
-              if (second[v] == Engine::kNoPeer) {
-                next[v] = a;
-              } else {
-                const std::uint32_t b = cur[second[v]];
-                next[v] = suppress_high ? std::min(a, b) : std::max(a, b);
-              }
-            }
-          }
-          local.record_messages(sent, bits);
-        });
-    std::swap(cur, next);
-    ++out.iterations;
-  }
-  lane_settle(lanes, cur);
-  lane_export(engine, lanes, state);
-  return out;
-}
-
-ThreeTournamentOutcome three_tournament(Engine& engine,
-                                        std::vector<Key>& state, double eps,
-                                        std::uint32_t final_sample_size) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(state.size() == n, "one key per node required");
-  GQ_REQUIRE(eps > 0.0 && eps < 0.5, "eps must lie in (0, 1/2)");
-  GQ_REQUIRE(final_sample_size >= 1, "final sample size must be positive");
-  GQ_REQUIRE(engine.faultless(),
-             "three_tournament is the failure-free variant; use "
-             "robust_three_tournament under a failure model or adversary");
-  const std::uint32_t k_samples = final_sample_size | 1u;  // force odd
-
-  ThreeTournamentOutcome out;
-  out.schedule = three_tournament_schedule(eps, n);
-  const std::uint64_t bits = key_bits(n);
-  const std::uint32_t block = engine.gather_block();
-
-  auto& picks = engine.scratch<PickScratch>();
-  picks.ensure(n);
-  const std::array<std::span<std::uint32_t>, 3> pk = {
-      picks.p0.span(n), picks.p1.span(n), picks.p2.span(n)};
-  auto& lanes = engine.scratch<LaneScratch>();
-  lane_import(engine, state, lanes);
-  std::span<std::uint32_t> cur(lanes.lane_a.data(), n);
-  std::span<std::uint32_t> next(lanes.lane_b.data(), n);
-
-  for (std::size_t iter = 0; iter < out.schedule.iterations(); ++iter) {
-    GQ_SPAN("tournament/three_iteration");
-    // Three pulls = three rounds, all reading the iteration-start state
-    // (`cur` is immutable until the commit, which writes `next`).  The
-    // first two are pure pick passes; the third is blocked — its draws,
-    // prefetches over all three samples' rank lines, and the fused median
-    // commit run per block against warm lines.
-    for (int pull = 0; pull < 3; ++pull) {
-      engine.begin_round();
-      engine.parallel_shards(
-          [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-            const auto& out_picks = pk[static_cast<std::size_t>(pull)];
-            if (pull < 2) {
-              for (std::uint32_t v = begin; v < end; ++v) {
-                SplitMix64 stream = engine.node_stream(v);
-                out_picks[v] = engine.sample_peer(v, stream);
-              }
-            } else {
-              for (std::uint32_t b0 = begin; b0 < end; b0 += block) {
-                const std::uint32_t b1 = std::min(b0 + block, end);
-                for (std::uint32_t v = b0; v < b1; ++v) {
-                  SplitMix64 stream = engine.node_stream(v);
-                  out_picks[v] = engine.sample_peer(v, stream);
-                }
-                for (std::uint32_t v = b0; v < b1; ++v) {
-                  prefetch_read(&cur[pk[0][v]]);
-                  prefetch_read(&cur[pk[1][v]]);
-                  prefetch_read(&cur[pk[2][v]]);
-                }
-                for (std::uint32_t v = b0; v < b1; ++v) {
-                  next[v] =
-                      median3(cur[pk[0][v]], cur[pk[1][v]], cur[pk[2][v]]);
-                }
-              }
-            }
-            local.record_messages(end - begin, bits);
-          });
-    }
-    std::swap(cur, next);
-    ++out.iterations;
-  }
-
-  // Final step: every node samples K values and outputs their median.  The
-  // tournament state is immutable during these rounds, so the K sampling
-  // rounds fuse into one parallel section: the round counter advances K
-  // times up front, and each node derives the per-round streams directly —
-  // the same (seed, round, v) derivation the per-round kernel would use,
-  // so draws and Metrics are bit-identical while the K-pass sample matrix
-  // disappears entirely.  Each node's K picks are drawn (and prefetched)
-  // before its K gathers, so the draw ALU covers the miss latency.
-  const std::uint64_t first_sample_round = engine.round() + 1;
-  engine.advance_rounds(k_samples);
-  out.outputs.resize(n);
-  constexpr std::uint32_t kMaxStackSamples = 64;
-  const std::size_t shards = engine.num_shards();
-  const auto wide_k = static_cast<std::size_t>(k_samples);
-  if (k_samples > kMaxStackSamples) {
-    // Oversized K: per-shard pick and sample slices come from the pooled
-    // wide lane, so even this path allocates nothing in steady state.
-    picks.ensure_wide(2 * shards * wide_k);
-  }
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-        std::uint32_t stack_picks[kMaxStackSamples];
-        std::uint32_t stack_samples[kMaxStackSamples];
-        std::uint32_t* pick = stack_picks;
-        std::uint32_t* samp = stack_samples;
-        if (k_samples > kMaxStackSamples) {
-          const std::size_t shard = engine.shard_of(begin);
-          pick = picks.wide.data() + shard * wide_k;
-          samp = picks.wide.data() + (shards + shard) * wide_k;
-        }
-        for (std::uint32_t v = begin; v < end; ++v) {
-          for (std::uint32_t j = 0; j < k_samples; ++j) {
-            SplitMix64 stream = streams::node_stream(
-                engine.seed(), first_sample_round + j, v);
-            pick[j] = engine.sample_peer(v, stream);
-            prefetch_read(&cur[pick[j]]);
-          }
-          for (std::uint32_t j = 0; j < k_samples; ++j) {
-            samp[j] = cur[pick[j]];
-          }
-          out.outputs[v] =
-              lanes.interner.key_at(rank_median(samp, k_samples));
-        }
-        local.record_messages(
-            static_cast<std::uint64_t>(k_samples) * (end - begin), bits);
-      });
-  lane_settle(lanes, cur);
-  lane_export(engine, lanes, state);
-  return out;
-}
-
-// ---- shared-schedule multi-quantile kernels --------------------------------
+// ---- shared-schedule lane kernels -----------------------------------------
 
 namespace {
 
-// The q-lane rank matrices of the shared multi-quantile schedule: node v's
-// lane l lives at mat[v * q + l], so one node's whole vector is contiguous
+// The q-lane rank matrices of the shared schedule: node v's lane l lives at
+// mat[v * q + l], so one node's whole vector is contiguous
 // (q <= kMaxSharedLanes = 64 lanes = at most four cache lines) and a peer
 // gather prefetches rows, not scattered entries.  Ping-pong like the
-// single-lane kernels: the live matrix is the iteration-start snapshot,
+// robust kernels' lanes: the live matrix is the iteration-start snapshot,
 // commits write the other.  `tmask` carries each node's Round-B tournament
-// lane bitmask from the draw pass to the commit pass.
+// lane bitmask from the draw pass to the commit pass; a one-lane run keeps
+// none, because whether its second pull was drawn is the mask.
 struct MultiLaneScratch {
   std::vector<std::uint32_t> mat_a, mat_b;
   std::vector<std::uint64_t> tmask;
@@ -520,65 +311,44 @@ struct MultiLaneScratch {
       mat_a.resize(cells);
       mat_b.resize(cells);
     }
-    if (tmask.size() < n) tmask.resize(n);
+    if (q_lanes > 1 && tmask.size() < n) tmask.resize(n);
+  }
+  [[nodiscard]] std::uint32_t* live() {
+    return a_live ? mat_a.data() : mat_b.data();
+  }
+  [[nodiscard]] std::uint32_t* spare() {
+    return a_live ? mat_b.data() : mat_a.data();
   }
 };
+
+// Every lane kernel is compiled twice: Q = 1 for the single-target
+// pipeline, whose lane loops and row strides then fold away, and Q = 0 for
+// a lane count read at run time.  The count the run began with picks the
+// instance.  The shard lambdas run out of line behind the pool's dispatch,
+// so each reads the count itself: a captured local would reach them as a
+// run-time load even at Q = 1.
+template <std::uint32_t Q>
+std::uint32_t lane_count(const MultiLaneScratch& s) {
+  return Q != 0 ? Q : s.q;
+}
 
 // Prefetches a node's whole q-lane row (one line per 16 lanes).
 inline void prefetch_lane_row(const std::uint32_t* row, std::uint32_t q) {
   for (std::uint32_t off = 0; off < q; off += 16) prefetch_read(row + off);
 }
 
-}  // namespace
-
-void multi_tournament_begin(Engine& engine, std::span<const Key> keys,
-                            std::uint32_t lanes) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(keys.size() == n, "one key per node required");
-  GQ_REQUIRE(lanes >= 1 && lanes <= kMaxSharedLanes,
-             "lane count must lie in [1, kMaxSharedLanes]");
-  GQ_REQUIRE(engine.faultless(),
-             "the shared multi-quantile schedule is the failure-free "
-             "variant; the pipeline routes robust runs per target");
-  auto& s = engine.scratch<MultiLaneScratch>();
-  auto& ls = engine.scratch<LaneScratch>();
-  auto& picks = engine.scratch<PickScratch>();
-  s.ensure(n, lanes);
-  picks.ensure(n);
-  s.q = lanes;
-  s.a_live = true;
-  // Intern once (or verify a live session), then broadcast each node's
-  // base rank across its q lane slots.  Lane A is not touched again, so
-  // the session claim it carries stays valid for the next kernel.
-  lane_import(engine, keys, ls);
-  const std::uint32_t* const base = ls.lane_a.data();
-  std::uint32_t* const mat = s.mat_a.data();
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-        for (std::uint32_t v = begin; v < end; ++v) {
-          const std::uint32_t r = base[v];
-          std::uint32_t* const row =
-              mat + static_cast<std::size_t>(v) * lanes;
-          for (std::uint32_t l = 0; l < lanes; ++l) row[l] = r;
-        }
-      });
-}
-
-void multi_two_iteration(Engine& engine,
-                         std::span<const MultiLaneStep> steps) {
-  auto& s = engine.scratch<MultiLaneScratch>();
+template <std::uint32_t Q>
+void two_iteration(Engine& engine, MultiLaneScratch& s,
+                   std::span<const MultiLaneStep> steps) {
   auto& picks = engine.scratch<PickScratch>();
   const std::uint32_t n = engine.size();
-  const std::uint32_t q = s.q;
-  GQ_REQUIRE(steps.size() == q, "one step per lane required");
   const std::uint64_t bits = key_bits(n);
   std::uint64_t active = 0;
   for (const MultiLaneStep& st : steps) active += st.active ? 1 : 0;
   const std::span<std::uint32_t> first = picks.p0.span(n);
   const std::span<std::uint32_t> second = picks.p1.span(n);
-  const std::uint32_t* const cur =
-      s.a_live ? s.mat_a.data() : s.mat_b.data();
-  std::uint32_t* const next = s.a_live ? s.mat_b.data() : s.mat_a.data();
+  const std::uint32_t* const cur = s.live();
+  std::uint32_t* const next = s.spare();
   std::uint64_t* const tmask = s.tmask.data();
   const std::uint32_t block = engine.gather_block();
 
@@ -602,7 +372,8 @@ void multi_two_iteration(Engine& engine,
   engine.begin_round();
   engine.parallel_shards(
       [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-        std::uint64_t counts[kMaxSharedLanes + 1] = {};
+        const std::uint32_t q = lane_count<Q>(s);
+        std::uint64_t counts[(Q != 0 ? Q : kMaxSharedLanes) + 1] = {};
         for (std::uint32_t b0 = begin; b0 < end; b0 += block) {
           const std::uint32_t b1 = std::min(b0 + block, end);
           for (std::uint32_t v = b0; v < b1; ++v) {
@@ -615,7 +386,7 @@ void multi_two_iteration(Engine& engine,
                   rand_bernoulli(stream, steps[l].delta);
               if (tournament) mask |= std::uint64_t{1} << l;
             }
-            tmask[v] = mask;
+            if constexpr (Q != 1) tmask[v] = mask;
             const auto t = static_cast<std::uint32_t>(std::popcount(mask));
             ++counts[t];
             second[v] =
@@ -640,7 +411,8 @@ void multi_two_iteration(Engine& engine,
                 cur + static_cast<std::size_t>(v) * q;
             std::uint32_t* const out =
                 next + static_cast<std::size_t>(v) * q;
-            const std::uint64_t mask = tmask[v];
+            const std::uint64_t mask =
+                Q == 1 ? std::uint64_t{sa != nullptr} : tmask[v];
             for (std::uint32_t l = 0; l < q; ++l) {
               if (!steps[l].active) {
                 out[l] = own[l];  // finished lane keeps its value
@@ -660,17 +432,15 @@ void multi_two_iteration(Engine& engine,
   s.a_live = !s.a_live;
 }
 
-void multi_three_iteration(Engine& engine) {
-  auto& s = engine.scratch<MultiLaneScratch>();
+template <std::uint32_t Q>
+void three_iteration(Engine& engine, MultiLaneScratch& s) {
   auto& picks = engine.scratch<PickScratch>();
   const std::uint32_t n = engine.size();
-  const std::uint32_t q = s.q;
   const std::uint64_t bits = key_bits(n);
   const std::array<std::span<std::uint32_t>, 3> pk = {
       picks.p0.span(n), picks.p1.span(n), picks.p2.span(n)};
-  const std::uint32_t* const cur =
-      s.a_live ? s.mat_a.data() : s.mat_b.data();
-  std::uint32_t* const next = s.a_live ? s.mat_b.data() : s.mat_a.data();
+  const std::uint32_t* const cur = s.live();
+  std::uint32_t* const next = s.spare();
   const std::uint32_t block = engine.gather_block();
 
   // Three shared pulls = three rounds reading the iteration-start matrix;
@@ -681,6 +451,7 @@ void multi_three_iteration(Engine& engine) {
     engine.begin_round();
     engine.parallel_shards(
         [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+          const std::uint32_t q = lane_count<Q>(s);
           const auto& out_picks = pk[static_cast<std::size_t>(pull)];
           if (pull < 2) {
             for (std::uint32_t v = begin; v < end; ++v) {
@@ -723,34 +494,40 @@ void multi_three_iteration(Engine& engine) {
   s.a_live = !s.a_live;
 }
 
-void multi_final_sample(Engine& engine, std::uint32_t k_samples,
-                        std::vector<std::vector<Key>>& outputs) {
-  auto& s = engine.scratch<MultiLaneScratch>();
+template <std::uint32_t Q>
+void final_sample(Engine& engine, MultiLaneScratch& s,
+                  std::uint32_t k_samples,
+                  std::vector<std::vector<Key>>& outputs) {
   auto& lanes = engine.scratch<LaneScratch>();
   auto& picks = engine.scratch<PickScratch>();
   const std::uint32_t n = engine.size();
-  const std::uint32_t q = s.q;
   const std::uint64_t bits = key_bits(n);
-  const std::uint32_t* const cur =
-      s.a_live ? s.mat_a.data() : s.mat_b.data();
+  const std::uint32_t* const cur = s.live();
 
-  // K shared sampling rounds fused into one parallel section, exactly like
-  // the single-target kernel (see three_tournament_rounds): the round
-  // counter advances K times up front and each node derives the per-round
-  // streams directly, so draws and Metrics are bit-identical to K
-  // per-round sweeps.  Each node's K picks are drawn (and their rows
-  // prefetched) before its q per-lane medians fold.
+  // Final step: every node samples K values and outputs each lane's
+  // median.  The lane state is immutable during these rounds, so the K
+  // sampling rounds fuse into one parallel section: the round counter
+  // advances K times up front, and each node derives the per-round streams
+  // directly — the same (seed, round, v) derivation the per-round kernel
+  // would use, so draws and Metrics are bit-identical to K per-round sweeps
+  // while the K-pass sample matrix disappears entirely.  Each node's K
+  // picks are drawn (and their rows prefetched) before its q per-lane
+  // medians fold, so the draw ALU covers the miss latency.
   const std::uint64_t first_sample_round = engine.round() + 1;
   engine.advance_rounds(k_samples);
-  outputs.assign(q, std::vector<Key>(n));
+  outputs.resize(lane_count<Q>(s));
+  for (std::vector<Key>& lane : outputs) lane.resize(n);
   constexpr std::uint32_t kMaxStackSamples = 64;
   const std::size_t shards = engine.num_shards();
   const auto wide_k = static_cast<std::size_t>(k_samples);
   if (k_samples > kMaxStackSamples) {
+    // Oversized K: per-shard pick and sample slices come from the pooled
+    // wide lane, so even this path allocates nothing in steady state.
     picks.ensure_wide(2 * shards * wide_k);
   }
   engine.parallel_shards(
       [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+        const std::uint32_t q = lane_count<Q>(s);
         std::uint32_t stack_picks[kMaxStackSamples];
         std::uint32_t stack_samples[kMaxStackSamples];
         std::uint32_t* pick = stack_picks;
@@ -780,6 +557,108 @@ void multi_final_sample(Engine& engine, std::uint32_t k_samples,
             static_cast<std::uint64_t>(k_samples) * (end - begin),
             q * bits);
       });
+}
+
+}  // namespace
+
+void multi_tournament_begin(Engine& engine, std::span<const Key> keys,
+                            std::uint32_t lanes) {
+  const std::uint32_t n = engine.size();
+  GQ_REQUIRE(keys.size() == n, "one key per node required");
+  GQ_REQUIRE(lanes >= 1 && lanes <= kMaxSharedLanes,
+             "lane count must lie in [1, kMaxSharedLanes]");
+  GQ_REQUIRE(engine.faultless(),
+             "the shared tournament schedule is the failure-free variant; "
+             "the pipelines route robust runs per target");
+  auto& s = engine.scratch<MultiLaneScratch>();
+  auto& ls = engine.scratch<LaneScratch>();
+  auto& picks = engine.scratch<PickScratch>();
+  s.ensure(n, lanes);
+  picks.ensure(n);
+  s.q = lanes;
+  s.a_live = true;
+  // Intern once (or verify a live session), then broadcast each node's
+  // base rank across its q lane slots.  Lane A is not touched again before
+  // an export, so the session claim it carries stays valid for the next
+  // kernel.
+  lane_import(engine, keys, ls);
+  const std::uint32_t* const base = ls.lane_a.data();
+  std::uint32_t* const mat = s.mat_a.data();
+  engine.parallel_shards(
+      [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
+        for (std::uint32_t v = begin; v < end; ++v) {
+          const std::uint32_t r = base[v];
+          std::uint32_t* const row =
+              mat + static_cast<std::size_t>(v) * lanes;
+          for (std::uint32_t l = 0; l < lanes; ++l) row[l] = r;
+        }
+      });
+}
+
+void multi_two_iteration(Engine& engine,
+                         std::span<const MultiLaneStep> steps) {
+  auto& s = engine.scratch<MultiLaneScratch>();
+  GQ_REQUIRE(steps.size() == s.q, "one step per lane required");
+  if (s.q == 1) {
+    two_iteration<1>(engine, s, steps);
+  } else {
+    two_iteration<0>(engine, s, steps);
+  }
+}
+
+void multi_three_iteration(Engine& engine) {
+  auto& s = engine.scratch<MultiLaneScratch>();
+  if (s.q == 1) {
+    three_iteration<1>(engine, s);
+  } else {
+    three_iteration<0>(engine, s);
+  }
+}
+
+void multi_final_sample(Engine& engine, std::uint32_t k_samples,
+                        std::vector<std::vector<Key>>& outputs) {
+  auto& s = engine.scratch<MultiLaneScratch>();
+  if (s.q == 1) {
+    final_sample<1>(engine, s, k_samples, outputs);
+  } else {
+    final_sample<0>(engine, s, k_samples, outputs);
+  }
+}
+
+void multi_lane_export(Engine& engine, std::uint32_t lane,
+                       std::span<Key> state) {
+  auto& s = engine.scratch<MultiLaneScratch>();
+  auto& ls = engine.scratch<LaneScratch>();
+  const std::uint32_t n = engine.size();
+  GQ_REQUIRE(lane < s.q && state.size() == n,
+             "export needs a live lane and one key per node");
+  // Lane A takes the exported lane's ranks first, so the interned session
+  // claims the exported state and the next kernel's verify pass hits (a
+  // two_tournament -> three_tournament chain interns once).
+  const std::uint32_t q = s.q;
+  const std::uint32_t* const cur = s.live();
+  std::uint32_t* const base = ls.lane_a.data();
+  engine.parallel_shards(
+      [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
+        for (std::uint32_t v = begin; v < end; ++v) {
+          base[v] = cur[static_cast<std::size_t>(v) * q + lane];
+        }
+      });
+  lane_export(engine, ls, state);
+}
+
+TwoTournamentOutcome two_tournament(Engine& engine, std::vector<Key>& state,
+                                    double phi, double eps,
+                                    bool truncate_last) {
+  return multi_detail::two_tournament_impl(engine, state, phi, eps,
+                                           truncate_last, {});
+}
+
+ThreeTournamentOutcome three_tournament(Engine& engine,
+                                        std::vector<Key>& state, double eps,
+                                        std::uint32_t final_sample_size) {
+  return multi_detail::three_tournament_impl(engine, state, eps,
+                                             final_sample_size, {});
 }
 
 // ---- robust (failure-model) kernels ---------------------------------------

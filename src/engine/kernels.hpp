@@ -2,14 +2,15 @@
 //
 // These run the core/ algorithms as sharded round kernels over contiguous
 // engine-pooled state: no virtual dispatch, no per-node allocation, one to
-// three parallel sections per gossip round.  State lives in two ping-pong
-// lanes of 32-bit *interned key ranks* (sim/key_intern.hpp): the state's
-// distinct keys are interned into a sorted table once per kernel — reused
-// across the consecutive kernels of one pipeline via an exactly-verified
-// session — and commits read lane A / write lane B, so A doubles as the
-// iteration-start snapshot with no copy.  Rank order is key order, so
-// min/max/median commits decide identically while a random peer gather
-// touches a 4-byte entry (16 per cache line) instead of a Key record.
+// three parallel sections per gossip round.  State lives in 32-bit
+// *interned key ranks* (sim/key_intern.hpp): the state's distinct keys are
+// interned into a sorted table once per pipeline — reused across
+// consecutive kernels via an exactly-verified session — and commits read
+// the live buffer and write its ping-pong partner, so the live buffer
+// doubles as the iteration-start snapshot with no copy.  Rank order is key
+// order, so min/max/median commits decide identically while a random peer
+// gather touches a 4-byte entry (16 per cache line) instead of a Key
+// record.
 //
 // Hot loops are *blocked*: for each block of EngineConfig::gather_block
 // nodes a round first materialises the block's peer picks into pooled
@@ -26,19 +27,20 @@
 // pins at 1, 2, and 8 threads:
 //
 //   * median_rule_keys        == baselines/median_rule ([DGM+11])
-//   * two_tournament          == core/two_tournament (Algorithm 1)
-//   * three_tournament        == core/three_tournament (Algorithm 2)
+//   * multi_* lane kernels    == core/multi_quantile.cpp (Algorithms 1-2,
+//                                one lane or q lanes of the shared schedule)
 //   * robust_two_tournament   == core/robust.cpp (Section 5.1)
 //   * robust_three_tournament == core/robust.cpp (Section 5.1)
 //   * robust_coverage         == core/robust.cpp (Theorem 1.4 tail)
 //
-// The tournament kernels take the same pre-/post-conditions as the core
-// versions (failure-free network; one key per node) and return the same
-// outcome structs; the robust kernels share the schedule-level control flow
-// with the sequential path via core/robust_pipeline.hpp and accept any
-// FailureModel.  The per-iteration observer hook is not offered here: it
+// two_tournament and three_tournament are one lane of the lane kernels
+// (core/multi_pipeline.hpp: two_tournament_impl / three_tournament_impl),
+// with the same pre-/post-conditions and outcome structs as the Network
+// overloads.  The per-iteration observer hook is not offered here: it
 // would force materialising the AoS state every iteration, defeating the
-// batching — use the sequential path for instrumented runs.
+// batching — use the sequential path for instrumented runs.  The robust
+// kernels share the schedule-level control flow with the sequential path
+// via core/robust_pipeline.hpp and accept any FailureModel.
 //
 // The robust kernels batch the k-fold fan-out pulls of Section 5.1 by
 // advancing the round counter for a whole pull block up front and letting
@@ -77,12 +79,14 @@ namespace gq {
                                                 std::span<const Key> keys,
                                                 const MedianRuleParams& params);
 
-// Algorithm 1 (2-TOURNAMENT) on the engine; see core/two_tournament.hpp.
+// Algorithm 1 (2-TOURNAMENT) on the engine, as one lane of the shared
+// kernels below; see core/two_tournament.hpp.
 TwoTournamentOutcome two_tournament(Engine& engine, std::vector<Key>& state,
                                     double phi, double eps,
                                     bool truncate_last = true);
 
-// Algorithm 2 (3-TOURNAMENT) on the engine; see core/three_tournament.hpp.
+// Algorithm 2 (3-TOURNAMENT) on the engine, as one lane of the shared
+// kernels below; see core/three_tournament.hpp.
 ThreeTournamentOutcome three_tournament(Engine& engine,
                                         std::vector<Key>& state, double eps,
                                         std::uint32_t final_sample_size = 15);
@@ -107,22 +111,27 @@ RobustThreeTournamentOutcome robust_three_tournament(
 std::uint64_t robust_coverage(Engine& engine, std::vector<Key>& outputs,
                               std::vector<bool>& valid, std::uint32_t t);
 
-// ---- shared-schedule multi-quantile kernels (core/multi_pipeline.hpp) -----
+// ---- shared-schedule lane kernels (core/multi_pipeline.hpp) ---------------
 //
 // Per-node state is a node-major q-lane matrix of interned ranks (q lanes
-// x 4 bytes: q = 16 lanes fit one cache line), ping-ponged like the single
-// lanes above; one peer draw per node per round serves every lane, and the
-// blocked gather prefetches whole peer *rows*.  The key multiset is
+// x 4 bytes: q = 16 lanes fit one cache line), ping-ponged between two
+// pooled matrices; one peer draw per node per round serves every lane, and
+// the blocked gather prefetches whole peer *rows*.  The key multiset is
 // interned ONCE in multi_tournament_begin, and the one radix sort is
-// amortised over q lanes of gather rounds.  The intern session's lane A is
-// left untouched, so a service session's adopted encoding stays valid
-// across multi runs.
+// amortised over q lanes of gather rounds.  Each kernel is compiled for
+// one lane — the single-target pipeline, with no per-lane loop, stride or
+// tournament bitmask left — and for a run-time lane count; the count
+// passed to multi_tournament_begin picks the instance.  The intern
+// session's rank lane is left untouched until multi_lane_export, so a
+// service session's adopted encoding stays valid across multi runs, and an
+// export leaves the session claiming the exported state.
 //
 // Failure-free only: the shared control flow routes robust runs through
 // per-target robust pipelines (see core/multi_pipeline.hpp).  Driven by
-// engine/pipelines.cpp through the shared template; bit-identity against
-// the sequential core/multi_quantile.cpp instantiation is pinned by
-// tests/test_engine_multi.cpp at 1/2/8 threads.
+// engine/pipelines.cpp and by two_tournament / three_tournament above
+// through the shared templates; bit-identity against the sequential
+// core/multi_quantile.cpp instantiation is pinned by
+// tests/test_engine_multi.cpp and tests/test_engine.cpp at 1/2/8 threads.
 void multi_tournament_begin(Engine& engine, std::span<const Key> keys,
                             std::uint32_t lanes);
 void multi_two_iteration(Engine& engine,
@@ -130,6 +139,8 @@ void multi_two_iteration(Engine& engine,
 void multi_three_iteration(Engine& engine);
 void multi_final_sample(Engine& engine, std::uint32_t k_samples,
                         std::vector<std::vector<Key>>& outputs);
+void multi_lane_export(Engine& engine, std::uint32_t lane,
+                       std::span<Key> state);
 
 // Session reuse hook for long-lived callers (src/service/): seeds the
 // kernels' interned session with an externally maintained encoding of the

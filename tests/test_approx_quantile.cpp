@@ -163,6 +163,16 @@ TEST(ApproxQuantile, RejectsInvalidParams) {
   params.eps = 0.7;
   EXPECT_THROW((void)approx_quantile(net, values, params),
                std::invalid_argument);
+  // K = 0 is rejected on every route: eps 0.3 sits above
+  // eps_tournament_floor(64) = 0.25, so the failure-free network takes the
+  // tournament route and the failing one the robust route.
+  params.eps = 0.3;
+  params.final_sample_size = 0;
+  EXPECT_THROW((void)approx_quantile(net, values, params),
+               std::invalid_argument);
+  Network failing(64, 1, FailureModel::uniform(0.1));
+  EXPECT_THROW((void)approx_quantile(failing, values, params),
+               std::invalid_argument);
 }
 
 TEST(ApproxQuantile, MetricsAccountAllTraffic) {

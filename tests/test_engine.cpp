@@ -466,27 +466,33 @@ TEST(EnginePipelines, ApproxQuantileMatchesCore) {
   const auto values = generate_values(Distribution::kUniformReal, kN, 23);
 
   for (const double phi : {0.5, 0.2}) {
-    Network net(kN, kSeed);
-    ApproxQuantileParams params;
-    params.phi = phi;
-    params.eps = 0.15;
-    const ApproxQuantileResult seq = approx_quantile(net, values, params);
+    for (const bool truncate_last : {true, false}) {
+      Network net(kN, kSeed);
+      ApproxQuantileParams params;
+      params.phi = phi;
+      params.eps = 0.15;
+      params.truncate_last = truncate_last;
+      const ApproxQuantileResult seq = approx_quantile(net, values, params);
 
-    for (unsigned threads : kThreadCounts) {
-      // The interned lanes' cross-kernel session reuse must be
-      // unobservable at the pipeline level too.
-      Engine engine(kN, kSeed, FailureModel{},
-                    EngineConfig{.threads = threads, .shard_size = 192});
-      const ApproxQuantileResult par = approx_quantile(engine, values, params);
-      EXPECT_EQ(par.outputs, seq.outputs)
-          << "threads=" << threads << " phi=" << phi;
-      EXPECT_EQ(par.valid, seq.valid);
-      EXPECT_EQ(par.phase1_iterations, seq.phase1_iterations);
-      EXPECT_EQ(par.phase2_iterations, seq.phase2_iterations);
-      EXPECT_EQ(par.rounds, seq.rounds);
-      EXPECT_EQ(par.used_exact_fallback, seq.used_exact_fallback);
-      EXPECT_EQ(engine.metrics(), net.metrics())
-          << "threads=" << threads << " phi=" << phi;
+      for (unsigned threads : kThreadCounts) {
+        // The interned lanes' cross-kernel session reuse must be
+        // unobservable at the pipeline level too.
+        Engine engine(kN, kSeed, FailureModel{},
+                      EngineConfig{.threads = threads, .shard_size = 192});
+        const ApproxQuantileResult par =
+            approx_quantile(engine, values, params);
+        EXPECT_EQ(par.outputs, seq.outputs)
+            << "threads=" << threads << " phi=" << phi
+            << " truncate_last=" << truncate_last;
+        EXPECT_EQ(par.valid, seq.valid);
+        EXPECT_EQ(par.phase1_iterations, seq.phase1_iterations);
+        EXPECT_EQ(par.phase2_iterations, seq.phase2_iterations);
+        EXPECT_EQ(par.rounds, seq.rounds);
+        EXPECT_EQ(par.used_exact_fallback, seq.used_exact_fallback);
+        EXPECT_EQ(engine.metrics(), net.metrics())
+            << "threads=" << threads << " phi=" << phi
+            << " truncate_last=" << truncate_last;
+      }
     }
   }
 }

@@ -67,12 +67,16 @@ void ingest_fixture(QuantileService& service, std::uint32_t nodes,
   }
 }
 
-// Transcript fingerprints of one approx, one exact, and one robust
+// Transcript fingerprints of two approx, one exact, and one robust
 // (failure-model) pipeline run, all from fixed seeds.  Telemetry on or off
-// must produce the same struct bit for bit.
+// must produce the same struct bit for bit.  The first approx run sits
+// below eps_tournament_floor(600) ~ 0.237 and takes the exact fallback;
+// the second takes the tournament route.
 struct Fingerprint {
   std::uint64_t approx_hash = 0;
   std::uint64_t approx_rounds = 0;
+  std::uint64_t tournament_hash = 0;
+  std::uint64_t tournament_rounds = 0;
   std::uint64_t exact_hash = 0;
   std::uint64_t exact_rounds = 0;
   std::uint64_t robust_hash = 0;
@@ -94,6 +98,16 @@ Fingerprint run_pipelines(unsigned threads) {
     const ApproxQuantileResult r = approx_quantile(engine, values, params);
     fp.approx_hash = transcript_hash(r.outputs, r.valid);
     fp.approx_rounds = r.rounds;
+  }
+  {
+    Engine engine(kN, 994, FailureModel{}, engine_config(threads));
+    ApproxQuantileParams params;
+    params.phi = 0.25;
+    params.eps = 0.25;
+    const ApproxQuantileResult r = approx_quantile(engine, values, params);
+    EXPECT_FALSE(r.used_exact_fallback);
+    fp.tournament_hash = transcript_hash(r.outputs, r.valid);
+    fp.tournament_rounds = r.rounds;
   }
   {
     Engine engine(kN, 992, FailureModel{}, engine_config(threads));
@@ -221,6 +235,8 @@ TEST_F(Telemetry, EnabledRecordsBalancedResolvableSpans) {
   EXPECT_TRUE(seen.count("pipeline/exact_quantile"));
   EXPECT_TRUE(seen.count("engine/parallel_shards"));
   EXPECT_TRUE(seen.count("exact/iteration"));
+  EXPECT_TRUE(seen.count("approx/two_tournament"));
+  EXPECT_TRUE(seen.count("approx/three_tournament"));
   EXPECT_TRUE(seen.count("robust/two_iteration"));
 }
 

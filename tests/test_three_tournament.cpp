@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "analysis/rank_stats.hpp"
@@ -107,6 +108,33 @@ TEST(ThreeTournament, ConstantInputIsFixedPoint) {
   const auto outcome = three_tournament(net, state, 0.1, 5);
   // All values share value 42; outputs must too.
   for (const Key& k : outcome.outputs) EXPECT_EQ(k.value, 42.0);
+}
+
+// Both phases' observers run once per iteration with 1-based indices, and
+// the last state each sees is the state its call leaves behind.
+TEST(Tournaments, ObserversSeeEveryIterationAndTheFinalState) {
+  constexpr std::uint32_t kN = 1024;
+  Network net(kN, 13);
+  auto state = make_keys(generate_values(Distribution::kUniformReal, kN, 3));
+  std::vector<std::size_t> seen;
+  std::vector<Key> last;
+  const auto record = [&](std::size_t iter, std::span<const Key> s) {
+    seen.push_back(iter);
+    last.assign(s.begin(), s.end());
+  };
+
+  const auto two = two_tournament(net, state, 0.25, 0.1, true, record);
+  ASSERT_GT(two.iterations, 0u);
+  ASSERT_EQ(seen.size(), two.iterations);
+  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
+  EXPECT_EQ(last, state);
+
+  seen.clear();
+  const auto three = three_tournament(net, state, 0.1, 15, record);
+  ASSERT_GT(three.iterations, 0u);
+  ASSERT_EQ(seen.size(), three.iterations);
+  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
+  EXPECT_EQ(last, state);
 }
 
 TEST(ThreeTournament, RejectsInvalidArguments) {
