@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sim/network.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace gq {
 
@@ -74,6 +75,7 @@ template <std::size_t D>
 MultiPushSumResult<D> push_sum_average_multi(
     Network& net, std::span<const std::array<double, D>> x,
     std::uint64_t rounds = 0) {
+  GQ_SPAN("agg/push_sum");
   const std::uint32_t n = net.size();
   GQ_REQUIRE(x.size() == n, "one input vector per node required");
   if (rounds == 0) rounds = push_sum_rounds_for_exact(net);

@@ -49,11 +49,16 @@ struct LaneScratch {
   std::uint32_t session_n = 0;
 
   void ensure(std::uint32_t n, std::size_t shards) {
-    if (lane_a.size() < n) {
-      lane_a.resize(n);
-      lane_b.resize(n);
-    }
+    if (lane_a.size() < n) lane_a.resize(n);
     if (shard_ok.size() < shards) shard_ok.resize(shards);
+  }
+
+  // Lane B, sized only by the kernels that ping-pong on it (the robust
+  // kernels and median_rule_keys): the tournaments run on MultiLaneScratch,
+  // so failure-free runs never hold it.
+  std::span<std::uint32_t> back_lane(std::uint32_t n) {
+    if (lane_b.size() < n) lane_b.resize(n);
+    return {lane_b.data(), n};
   }
 };
 
@@ -265,7 +270,7 @@ MedianRuleResult median_rule_keys(Engine& engine, std::span<const Key> keys,
     auto& lanes = engine.scratch<LaneScratch>();
     lane_import(engine, keys, lanes);
     const std::uint32_t* live = median_rule_rounds<std::uint32_t>(
-        engine, {lanes.lane_a.data(), n}, {lanes.lane_b.data(), n}, first,
+        engine, {lanes.lane_a.data(), n}, lanes.back_lane(n), first,
         second, out.iterations, bits);
     lane_settle(lanes, std::span<const std::uint32_t>(live, n));
     out.outputs.resize(n);
@@ -734,7 +739,7 @@ class EngineRobustOps {
     scratch_.ensure(n_);
     lane_import(engine, state, lanes_);
     cur_ = std::span<std::uint32_t>(lanes_.lane_a.data(), n_);
-    next_ = std::span<std::uint32_t>(lanes_.lane_b.data(), n_);
+    next_ = lanes_.back_lane(n_);
     g_cur_ = std::span<std::uint8_t>(scratch_.good_a.data(), n_);
     g_next_ = std::span<std::uint8_t>(scratch_.good_b.data(), n_);
     engine.parallel_shards(

@@ -19,6 +19,7 @@
 #include "engine/kernels.hpp"
 #include "engine/scatter.hpp"
 #include "engine/token_store.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/prefetch.hpp"
 #include "util/require.hpp"
 #include "workload/tiebreak.hpp"
@@ -112,12 +113,25 @@ GenericSpreadResult<T> engine_spread_best(Engine& engine, std::vector<T> cur,
   return out;
 }
 
-// ---- push-sum on the scatter primitive -----------------------------------
+// ---- push-sum: in-place fold on one shard, scatter on several ------------
 //
 // The batched twin of push_sum_average_multi: per round, every node halves
-// its masses and scatters one message; the scatter delivers each
-// destination's incoming masses in ascending sender order, which is the
-// exact floating-point fold order of the sequential for-loop.
+// its masses and pushes one half; each destination adds its incoming halves
+// in ascending sender order and commits them once — the exact
+// floating-point fold order of the sequential for-loop.
+//
+// On a one-shard engine the send section is a single task that walks the
+// senders in ascending order, so it already produces that order: the send
+// loop adds each half straight into inflow[dest], and one pass after it
+// commits and re-zeroes the accumulators.  No mailbox, no delivery section.
+// With several shards the halves go through the scatter, which delivers
+// each destination's records in ascending sender order.  The path follows
+// the shard count, not the thread count: at threads = 1 (4-vCPU Xeon VM,
+// 62-80-round counts) the in-place fold ran 1.7x faster at n = 2^14 and
+// 2^16, even at 2^18, and 2x slower at 2^20, where its random
+// read-modify-write over a 16 MB accumulator loses to the scatter's
+// cache-sized partitions.  At the default shard_size only n <= 2^14 has
+// one shard.
 //
 // Working state is engine-pooled (Engine::scratch) and first-touch
 // initialized: each shard's slice of the arrays is first written by the
@@ -126,10 +140,10 @@ GenericSpreadResult<T> engine_spread_best(Engine& engine, std::vector<T> cur,
 // NUMA-local pages instead of re-allocating n-sized vectors per call.
 //
 // A node's value masses and weight mass live in ONE struct, not parallel
-// arrays: the delivery fold makes two random-indexed accesses per message
-// (read the sender's pair, bump the destination's accumulator pair), and
-// keeping each pair on one cache line instead of two halves the lines the
-// L2 has to serve on the hottest loop of the counting stages.
+// arrays: the fold makes two random-indexed accesses per message (read the
+// sender's pair, bump the destination's accumulator pair), and keeping each
+// pair on one cache line instead of two halves the lines the L2 has to
+// serve on the hottest loop of the counting stages.
 template <std::size_t D>
 struct PushSumScratch {
   struct Pair {
@@ -144,6 +158,7 @@ template <std::size_t D>
 MultiPushSumResult<D> engine_push_sum_average_multi(
     Engine& engine, std::span<const std::array<double, D>> x,
     std::uint64_t rounds) {
+  GQ_SPAN("agg/push_sum");
   const std::uint32_t n = engine.size();
   GQ_REQUIRE(x.size() == n, "one input vector per node required");
   if (rounds == 0) rounds = push_sum_rounds_for_exact(n, engine.failures());
@@ -155,71 +170,93 @@ MultiPushSumResult<D> engine_push_sum_average_multi(
   scratch.inflow.ensure(n);
   const std::span<Pair> state = scratch.state.span(n);
   const std::span<Pair> inflow = scratch.inflow.span(n);
+  const bool in_place = engine.num_shards() == 1;
   engine.parallel_shards(
       [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
         for (std::uint32_t v = begin; v < end; ++v) {
           state[v].s = x[v];
           state[v].w = 1.0;
+          // The scatter's delivery prologue zeroes inflow every round (and
+          // first-touches each slice from its partition task); the in-place
+          // fold zeroes it here and in every commit.
+          if (in_place) inflow[v] = Pair{};
         }
       });
-  // inflow needs no init: each round's delivery prologue zeroes it, which
-  // also first-touches each slice from the partition task that owns it.
 
-  // Two parallel sections per round, not four: the peer draw (the batched
-  // twin of push_round — same per-node stream derivation, same per-shard
-  // message accounting) is fused with the halve-and-send loop, and the
-  // "add the incoming masses" commit rides as the delivery epilogue while
-  // the partition's accumulators are cache-resident.  Messages carry the
-  // halved (s, w) pair inline — a pure streaming read on delivery — and
-  // the fold touches exactly one random-indexed accumulator Pair per
-  // message.  The floating-point schedule is the sequential one — halve
-  // own pair, accumulate incoming in ascending sender order, add the
-  // accumulator once — so results stay bit-identical.
-  Scatter<Pair> scatter(engine);
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    engine.begin_round();
-    scatter.begin_round();
-    engine.parallel_shards(
-        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-          auto out = scatter.sender_for(begin);
-          std::uint64_t sent = 0;
-          for (std::uint32_t v = begin; v < end; ++v) {
-            if (engine.node_fails(v)) {  // failed: keeps whole pair
-              ++local.failed_operations;
-              continue;
+  // The halve-and-send loop of one shard, fused with the peer draw (the
+  // batched twin of push_round — same per-node stream derivation, same
+  // per-shard message accounting); emit(dest, half) takes each half.
+  const auto send_shard = [&](std::uint32_t begin, std::uint32_t end,
+                              Metrics& local, auto&& emit) {
+    std::uint64_t sent = 0;
+    for (std::uint32_t v = begin; v < end; ++v) {
+      if (engine.node_fails(v)) {  // failed: keeps whole pair
+        ++local.failed_operations;
+        continue;
+      }
+      SplitMix64 stream = engine.node_stream(v);
+      const std::uint32_t d = engine.sample_peer(v, stream);
+      ++sent;
+      for (std::size_t j = 0; j < D; ++j) state[v].s[j] *= 0.5;
+      state[v].w *= 0.5;
+      emit(d, state[v]);
+    }
+    local.record_messages(sent, bits);
+  };
+  const auto fold = [&](std::uint32_t dest, const Pair& m) {
+    for (std::size_t j = 0; j < D; ++j) inflow[dest].s[j] += m.s[j];
+    inflow[dest].w += m.w;
+  };
+  const auto commit = [&](std::uint32_t v) {
+    for (std::size_t j = 0; j < D; ++j) state[v].s[j] += inflow[v].s[j];
+    state[v].w += inflow[v].w;
+  };
+
+  if (in_place) {
+    // One parallel section per round: the single shard task sends, folds
+    // and commits.
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      engine.begin_round();
+      engine.parallel_shards(
+          [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+            send_shard(begin, end, local, fold);
+            for (std::uint32_t v = begin; v < end; ++v) {
+              commit(v);
+              inflow[v] = Pair{};
             }
-            SplitMix64 stream = engine.node_stream(v);
-            const std::uint32_t d = engine.sample_peer(v, stream);
-            ++sent;
-            for (std::size_t j = 0; j < D; ++j) state[v].s[j] *= 0.5;
-            state[v].w *= 0.5;
-            out.send(d, state[v]);
-          }
-          local.record_messages(sent, bits);
-        });
-    scatter.deliver_prefetch(
-        engine,
-        [&](std::uint32_t first, std::uint32_t last) {
-          for (std::uint32_t v = first; v < last; ++v) {
-            inflow[v].s.fill(0.0);
-            inflow[v].w = 0.0;
-          }
-        },
-        [&](std::uint32_t dest, const Pair& m) {
-          for (std::size_t j = 0; j < D; ++j) inflow[dest].s[j] += m.s[j];
-          inflow[dest].w += m.w;
-        },
-        [&](std::uint32_t first, std::uint32_t last) {
-          for (std::uint32_t v = first; v < last; ++v) {
-            for (std::size_t j = 0; j < D; ++j) {
-              state[v].s[j] += inflow[v].s[j];
-            }
-            state[v].w += inflow[v].w;
-          }
-        },
-        // The fold's one random-indexed access: the destination's inflow
-        // Pair.  Issued a few records ahead by the delivery walk.
-        [&](std::uint32_t dest) { prefetch_read(&inflow[dest]); });
+          });
+    }
+  } else {
+    // Two parallel sections per round: send, then delivery, whose prologue
+    // zeroes the partition's accumulators and whose epilogue commits them
+    // while they are cache-resident.  Messages carry the halved pair inline
+    // — a pure streaming read on delivery — and the fold touches exactly
+    // one random-indexed accumulator Pair per message.
+    Scatter<Pair> scatter(engine);
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      engine.begin_round();
+      scatter.begin_round();
+      engine.parallel_shards(
+          [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+            auto out = scatter.sender_for(begin);
+            send_shard(begin, end, local,
+                       [&](std::uint32_t d, const Pair& half) {
+                         out.send(d, half);
+                       });
+          });
+      scatter.deliver_prefetch(
+          engine,
+          [&](std::uint32_t first, std::uint32_t last) {
+            for (std::uint32_t v = first; v < last; ++v) inflow[v] = Pair{};
+          },
+          fold,
+          [&](std::uint32_t first, std::uint32_t last) {
+            for (std::uint32_t v = first; v < last; ++v) commit(v);
+          },
+          // The fold's one random-indexed access: the destination's inflow
+          // Pair.  Issued a few records ahead by the delivery walk.
+          [&](std::uint32_t dest) { prefetch_read(&inflow[dest]); });
+    }
   }
 
   MultiPushSumResult<D> out;

@@ -15,7 +15,9 @@
 // while the push-shaped ones — push-sum counting and the Step-7 token
 // split — route their traffic through engine/scatter.hpp, which applies
 // payloads to each destination in ascending sender order, exactly the
-// order the sequential for-loop produces.  The exact pipeline's control
+// order the sequential for-loop produces.  On a one-shard engine push-sum
+// skips the scatter: its single send task already produces that order, so
+// it folds each message into the destination as it is sent.  The exact pipeline's control
 // flow itself is not duplicated: both executors instantiate the shared
 // template in core/exact_pipeline.hpp.
 //

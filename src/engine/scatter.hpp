@@ -6,7 +6,10 @@
 // target the same node and the order in which their payloads are applied is
 // observable (floating-point folds, token list append order).  This is the
 // pattern behind Algorithm 3's token split (Step 7) and push-sum counting,
-// and it is what kept the full quantile pipelines off the engine.
+// and it is what kept the full quantile pipelines off the engine.  Push-sum
+// uses it only on multi-shard engines: with one shard the single send task
+// already walks the senders in ascending order, so the counting kernel
+// folds in place (engine/pipelines.cpp).
 //
 // Scatter makes the pattern deterministic in two phases:
 //

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/adversarial_pipeline.hpp"
 #include "core/supervisor.hpp"
 #include "engine/kernels.hpp"
 #include "engine/pipelines.hpp"
@@ -32,6 +33,22 @@ constexpr std::uint64_t kDegradedStream = 0x5eed0004;
 constexpr Key probe_key(double value) {
   return Key{value, std::numeric_limits<std::uint32_t>::max(),
              std::numeric_limits<std::uint64_t>::max()};
+}
+
+// The nodes that serve a count: those not down at the engine's current
+// round, i.e. the query's last, by the node_down rule the adversarial
+// pipelines serve by.  Crashed nodes keep absorbing pushed mass, so the
+// survivors' counts drift; counting only live nodes is what lets the
+// supervisor's served-fraction check reject such an attempt.  Without a
+// crashing adversary every node serves.
+std::uint32_t count_served(const Engine& engine) {
+  std::uint32_t served = 0;
+  for (std::uint32_t v = 0; v < engine.size(); ++v) {
+    if (!adversary_detail::node_down(engine.adversary(), v, engine.round())) {
+      ++served;
+    }
+  }
+  return served;
 }
 
 }  // namespace
@@ -531,7 +548,7 @@ QueryReply QuantileService::run_rank(const QueryRequest& request) {
   reply.fraction = static_cast<double>(reply.count) /
                    static_cast<double>(instance_.size());
   reply.rounds = res.rounds;
-  reply.served = static_cast<std::uint32_t>(instance_.size());
+  reply.served = count_served(*engine_);
   reply.transcript_hash =
       transcript_hash_counts({res.counts.data(), res.counts.size()});
   return reply;
@@ -580,7 +597,7 @@ QueryReply QuantileService::run_cdf(const QueryRequest& request) {
   for (const std::uint64_t c : reply.cdf_counts) {
     reply.cdf.push_back(static_cast<double>(c) / m);
   }
-  reply.served = static_cast<std::uint32_t>(instance_.size());
+  reply.served = count_served(*engine_);
   reply.transcript_hash = hash_acc;
   return reply;
 }

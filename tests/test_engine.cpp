@@ -4,9 +4,11 @@
 // a failure model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -376,28 +378,51 @@ TEST(EngineCollectives, GossipCountMatchesCore) {
     ind_c[v] = true;
   }
 
+  // Both engine push-sum paths: 192-node shards fold through the scatter,
+  // the default shard_size leaves one shard that folds in place.  Rounds 0
+  // is the exact schedule; 4 and 12 stop while per-node counts still
+  // differ, so each node's own fold order shows in its count.
   for (const bool with_failures : {false, true}) {
     const FailureModel fm =
         with_failures ? FailureModel::uniform(0.25) : FailureModel{};
-    Network net(kN, kSeed, fm);
-    const CountResult seq_count = gossip_count(net, ind_a);
-    const CountResult seq_rank = gossip_rank(net, keys, keys[kN / 2]);
-    const TripleCountResult seq3 = gossip_count3(net, ind_a, ind_b, ind_c);
+    for (const std::uint64_t rounds : {0u, 4u, 12u}) {
+      Network net(kN, kSeed, fm);
+      const CountResult seq_count = gossip_count(net, ind_a, rounds);
+      const CountResult seq_rank = gossip_rank(net, keys, keys[kN / 2], rounds);
+      const TripleCountResult seq3 =
+          gossip_count3(net, ind_a, ind_b, ind_c, rounds);
+      if (rounds != 0) {
+        const auto [lo, hi] = std::minmax_element(seq_count.counts.begin(),
+                                                  seq_count.counts.end());
+        ASSERT_LT(*lo, *hi) << "rounds=" << rounds;
+        const auto [lo3, hi3] = std::minmax_element(seq3.b.begin(), seq3.b.end());
+        ASSERT_LT(*lo3, *hi3) << "rounds=" << rounds;
+      }
 
-    for (unsigned threads : kThreadCounts) {
-      Engine engine(kN, kSeed, fm, config_for(threads));
-      const CountResult par_count = gossip_count(engine, ind_a);
-      const CountResult par_rank = gossip_rank(engine, keys, keys[kN / 2]);
-      const TripleCountResult par3 = gossip_count3(engine, ind_a, ind_b, ind_c);
-      EXPECT_EQ(par_count.counts, seq_count.counts);
-      EXPECT_EQ(par_count.rounds, seq_count.rounds);
-      EXPECT_EQ(par_rank.counts, seq_rank.counts);
-      EXPECT_EQ(par3.a, seq3.a);
-      EXPECT_EQ(par3.b, seq3.b);
-      EXPECT_EQ(par3.c, seq3.c);
-      EXPECT_EQ(par3.rounds, seq3.rounds);
-      EXPECT_EQ(engine.metrics(), net.metrics())
-          << "threads=" << threads << " failures=" << with_failures;
+      for (unsigned threads : kThreadCounts) {
+        for (const EngineConfig& config :
+             {config_for(threads), EngineConfig{.threads = threads}}) {
+          Engine engine(kN, kSeed, fm, config);
+          const CountResult par_count = gossip_count(engine, ind_a, rounds);
+          const CountResult par_rank =
+              gossip_rank(engine, keys, keys[kN / 2], rounds);
+          const TripleCountResult par3 =
+              gossip_count3(engine, ind_a, ind_b, ind_c, rounds);
+          const std::string where =
+              "threads=" + std::to_string(threads) +
+              " shards=" + std::to_string(engine.num_shards()) +
+              " failures=" + std::to_string(with_failures) +
+              " rounds=" + std::to_string(rounds);
+          EXPECT_EQ(par_count.counts, seq_count.counts) << where;
+          EXPECT_EQ(par_count.rounds, seq_count.rounds) << where;
+          EXPECT_EQ(par_rank.counts, seq_rank.counts) << where;
+          EXPECT_EQ(par3.a, seq3.a) << where;
+          EXPECT_EQ(par3.b, seq3.b) << where;
+          EXPECT_EQ(par3.c, seq3.c) << where;
+          EXPECT_EQ(par3.rounds, seq3.rounds) << where;
+          EXPECT_EQ(engine.metrics(), net.metrics()) << where;
+        }
+      }
     }
   }
 }
@@ -792,10 +817,30 @@ TEST(Engine, ShardSizeIsNotObservable) {
                 EngineConfig{.threads = 2, .shard_size = 1u << 14});
   Engine fine(kN, 5, FailureModel::uniform(0.1),
               EngineConfig{.threads = 2, .shard_size = 33});
+  ASSERT_EQ(coarse.num_shards(), 1u);
   for (int r = 0; r < 6; ++r) {
     EXPECT_EQ(coarse.pull_round(24), fine.pull_round(24));
   }
   EXPECT_EQ(coarse.metrics(), fine.metrics());
+
+  // Push-sum folds in place on the one-shard engine and through the
+  // scatter on the 33-node shards: same counts, same Metrics, both for a
+  // short schedule (counts still differ per node) and the exact one.
+  std::vector<bool> ind_a(kN), ind_b(kN), ind_c(kN);
+  for (std::uint32_t v = 0; v < kN; ++v) {
+    ind_a[v] = v % 4 == 0;
+    ind_b[v] = v % 3 != 0;
+    ind_c[v] = v < kN / 2;
+  }
+  for (const std::uint64_t rounds : {12u, 0u}) {
+    const TripleCountResult a = gossip_count3(coarse, ind_a, ind_b, ind_c, rounds);
+    const TripleCountResult b = gossip_count3(fine, ind_a, ind_b, ind_c, rounds);
+    EXPECT_EQ(a.a, b.a) << "rounds=" << rounds;
+    EXPECT_EQ(a.b, b.b) << "rounds=" << rounds;
+    EXPECT_EQ(a.c, b.c) << "rounds=" << rounds;
+    EXPECT_EQ(a.rounds, b.rounds) << "rounds=" << rounds;
+    EXPECT_EQ(coarse.metrics(), fine.metrics()) << "rounds=" << rounds;
+  }
 }
 
 // ---- the executor core (sim/executor.hpp) ---------------------------------

@@ -132,10 +132,11 @@ TEST(EngineSteadyState, RoundsAllocateNothingAfterWarmup) {
 // the analytic schedule vectors the control flow computes per call — the
 // blocked-gather rounds (index lanes, prefetch passes, commits), the
 // intern/verify/export passes, and the session bookkeeping all allocate
-// nothing.  (The repeat run presents an equal state vector, so the session
-// verify pass short-circuits the re-intern; a re-intern would also be
-// allocation-free on warm buffers, which the session-miss repeat at the
-// end pins by mutating one key first.)
+// nothing.  (The repeat run presents the state the warmup left behind,
+// which the session still claims, so the verify pass short-circuits the
+// re-intern; a re-intern would also be allocation-free on warm buffers,
+// which the session-miss repeat at the end pins by mutating one key
+// first.)
 TEST(EngineSteadyState, TournamentRoundsAllocateNothingAfterWarmup) {
   constexpr std::uint32_t kN = 4096;
   constexpr double kPhi = 0.4, kEps = 0.15;
@@ -159,7 +160,7 @@ TEST(EngineSteadyState, TournamentRoundsAllocateNothingAfterWarmup) {
     std::vector<Key> state(keys.begin(), keys.end());
     (void)two_tournament(engine, state, kPhi, kEps);  // warmup
 
-    std::vector<Key> state2(keys.begin(), keys.end());
+    std::vector<Key> state2 = state;  // session hit: the warmup's output
     const std::uint64_t allocs_before =
         g_allocations.load(std::memory_order_relaxed);
     (void)two_tournament(engine, state2, kPhi, kEps);

@@ -581,6 +581,62 @@ TEST(ServiceResilience, NeverThrowsUnderAggressiveChurn) {
   EXPECT_GT(service.stats().degraded_answers, 0u);
 }
 
+// A count is served only by the nodes not down at the query's last round.
+// Permanently crashed nodes keep absorbing pushed mass, so the survivors'
+// counts drift off the truth, and at min_served_fraction 0.95 such attempts
+// must be rejected.  This service used to answer the three rank probes in
+// full on attempt 1 with 63/151/223 against true counts 62/150/224, each
+// served by all 300 nodes.  At a threshold the survivors do meet, the
+// reply's served count is exactly the nodes still up at its last round.
+TEST(ServiceResilience, CrashedNodesDoNotServeCounts) {
+  constexpr std::uint32_t kNodes = 300;
+  const auto values = generate_values(Distribution::kUniformReal, kNodes, 3);
+  const double probes[] = {0.25, 0.5, 0.75};
+  for (const double min_served : {0.95, 0.5}) {
+    SCOPED_TRACE(min_served);
+    CrashChurnAdversary crash(
+        CrashChurnAdversary::Config{.crashes = 64, .down_rounds = 0});
+    ServiceConfig cfg;
+    cfg.seed = 32;
+    cfg.engine.threads = 2;
+    cfg.adversary = &crash;
+    cfg.supervisor.min_served_fraction = min_served;
+    QuantileService service(kNodes, cfg);
+    for (std::uint32_t v = 0; v < kNodes; ++v) service.ingest(v, values[v]);
+
+    std::vector<QueryRequest> requests;
+    for (const double probe : probes) {
+      QueryRequest rank;
+      rank.kind = QueryKind::kRank;
+      rank.value = probe;
+      requests.push_back(rank);
+    }
+    QueryRequest cdf;
+    cdf.kind = QueryKind::kCdf;
+    cdf.cdf_points.assign(std::begin(probes), std::end(probes));
+    requests.push_back(cdf);
+
+    for (const QueryRequest& request : requests) {
+      const QueryReply reply = service.query(request);
+      if (min_served > 0.9) {
+        EXPECT_EQ(reply.quality, AnswerQuality::kDegraded);
+        EXPECT_EQ(reply.attempts, cfg.supervisor.max_attempts);
+        continue;
+      }
+      ASSERT_EQ(reply.quality, AnswerQuality::kFull);
+      ASSERT_EQ(reply.attempts, 1u);
+      // The adversary is still bound to this query's seed; the query ran
+      // rounds 1..reply.rounds.
+      std::uint32_t up = 0;
+      for (std::uint32_t v = 0; v < kNodes; ++v) {
+        up += adversary_detail::node_down(&crash, v, reply.rounds) ? 0 : 1;
+      }
+      EXPECT_EQ(reply.served, up);
+      EXPECT_LT(reply.served, kNodes);
+    }
+  }
+}
+
 // Attempt 0 of this query takes the exact fallback (eps below the floor)
 // and aborts in the selection endgame under uniform(0.3) loss; the retry
 // reseeds, promotes to the filtered robust pipeline and serves in full.

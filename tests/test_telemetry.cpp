@@ -238,6 +238,7 @@ TEST_F(Telemetry, EnabledRecordsBalancedResolvableSpans) {
   EXPECT_TRUE(seen.count("approx/two_tournament"));
   EXPECT_TRUE(seen.count("approx/three_tournament"));
   EXPECT_TRUE(seen.count("robust/two_iteration"));
+  EXPECT_TRUE(seen.count("agg/push_sum"));
 }
 
 TEST_F(Telemetry, SpanInterningIsIdempotent) {
