@@ -227,21 +227,25 @@ void run() {
 // spans, validated by scripts/trace_check in CI) fires on every run.  Ten
 // queries cycle through the five kinds, two of each per cell, so
 // open_after = 2 lets a cell that exhausts a kind twice trip its breaker.
-// Exits non-zero on any violation, or unless the sweep as a whole retried
-// an attempt, served a degraded answer and opened a breaker.
+// crash_light's nodes stay down for 32 rounds, crashed anywhere in the first
+// 64, so some are still down when a query's last round (62 or more) ends,
+// and its bar of 0.97 served makes some first attempts miss: the cell
+// exercises a retry that recovers a full answer.  Exits non-zero on any
+// violation, or unless the sweep as a whole retried an attempt, recovered a
+// full answer on a retry, served a degraded answer and opened a breaker.
 
 int run_soak() {
   std::printf("bench_adversary --soak: resilience fault-soak gate\n\n");
   const std::uint32_t nodes = bench::smoke_capped(1024);
   const std::uint32_t budget = std::max<std::uint32_t>(4, nodes / 16);
   std::uint64_t total = 0, full = 0, degraded = 0, violations = 0;
-  std::uint64_t retries = 0, breaker_opens = 0;
-  bench::Table table({"strategy", "seed", "queries", "full", "degraded",
-                      "retries", "breaker opens"});
+  std::uint64_t retries = 0, recovered = 0, breaker_opens = 0;
+  bench::Table table({"strategy", "seed", "min served", "queries", "full",
+                      "degraded", "retries", "recovered", "breaker opens"});
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     CrashChurnAdversary light(CrashChurnAdversary::Config{
-        .crashes = budget, .first_round = 1, .crash_window = 32,
-        .down_rounds = 8, .strategy_seed = seed});
+        .crashes = budget, .first_round = 1, .crash_window = 64,
+        .down_rounds = 32, .strategy_seed = seed});
     CrashChurnAdversary heavy(CrashChurnAdversary::Config{
         .crashes = budget * 2, .first_round = 1, .crash_window = 32,
         .down_rounds = 0, .strategy_seed = seed});
@@ -253,7 +257,7 @@ int run_soak() {
       double min_served;
     };
     const Cell cells[] = {
-        {"crash_light", &light, 0.5},
+        {"crash_light", &light, 0.97},
         {"crash_heavy", &heavy, 0.97},  // ~12% permanently down: exhausts
         {"greedy", &greedy, 0.5},
         {"eclipse", &eclipse, 0.5},
@@ -270,7 +274,7 @@ int run_soak() {
       cfg.supervisor.min_served_fraction = cell.min_served;
       cfg.breaker.open_after = 2;
       cfg.breaker.cooldown_queries = 2;
-      std::uint64_t cell_full = 0, cell_degraded = 0;
+      std::uint64_t cell_full = 0, cell_degraded = 0, cell_recovered = 0;
       try {
         QuantileService service(nodes, cfg);
         const auto values = generate_values(Distribution::kUniformReal,
@@ -298,15 +302,19 @@ int run_soak() {
           } else {
             ++full;
             ++cell_full;
+            if (reply.attempts > 1) ++cell_recovered;
           }
         }
         const ServiceStats stats = service.stats();
         retries += stats.retry_attempts;
+        recovered += cell_recovered;
         breaker_opens += stats.breaker_opens;
-        table.add_row({cell.label, std::to_string(seed), "10",
+        table.add_row({cell.label, std::to_string(seed),
+                       bench::fmt(cell.min_served, 2), "10",
                        std::to_string(cell_full),
                        std::to_string(cell_degraded),
                        std::to_string(stats.retry_attempts),
+                       std::to_string(cell_recovered),
                        std::to_string(stats.breaker_opens)});
       } catch (const std::exception& error) {
         ++violations;
@@ -318,18 +326,22 @@ int run_soak() {
   }
   table.print();
   std::printf("\nsoak: %llu queries, %llu full, %llu degraded, "
-              "%llu retries, %llu breaker opens, %llu violations\n",
+              "%llu retries, %llu recovered, %llu breaker opens, "
+              "%llu violations\n",
               static_cast<unsigned long long>(total),
               static_cast<unsigned long long>(full),
               static_cast<unsigned long long>(degraded),
               static_cast<unsigned long long>(retries),
+              static_cast<unsigned long long>(recovered),
               static_cast<unsigned long long>(breaker_opens),
               static_cast<unsigned long long>(violations));
   // No query may throw, and the sweep must have exercised every resilience
-  // path it names: a retried attempt, a degraded answer and an open
-  // breaker (otherwise the gate and CI's trace requirements are vacuous).
-  // exit_status() flushes the GQ_TRACE artifacts the trace gate validates.
-  const bool exercised = degraded > 0 && retries > 0 && breaker_opens > 0;
+  // path it names: a retried attempt, a retry that recovered a full answer,
+  // a degraded answer and an open breaker (otherwise the gate and CI's
+  // trace requirements are vacuous).  exit_status() flushes the GQ_TRACE
+  // artifacts the trace gate validates.
+  const bool exercised =
+      degraded > 0 && retries > 0 && recovered > 0 && breaker_opens > 0;
   const int soak_status = (violations == 0 && exercised) ? 0 : 1;
   const int artifact_status = bench::exit_status();
   return soak_status != 0 ? soak_status : artifact_status;

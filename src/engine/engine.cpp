@@ -21,19 +21,22 @@ void Engine::pull_round(std::uint64_t bits_per_message,
              "peer output array must have one slot per node");
   GQ_SPAN("engine/pull_round");
   begin_round();
-  parallel_shards([&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-    std::uint64_t sent = 0;
-    for (std::uint32_t v = begin; v < end; ++v) {
-      if (node_fails(v)) {
-        ++local.failed_operations;
-        peers_out[v] = kNoPeer;
-        continue;
-      }
-      SplitMix64 stream = node_stream(v);
-      peers_out[v] = sample_peer(v, stream);
-      ++sent;
-    }
-    local.record_messages(sent, bits_per_message);
+  with_fault_coin([&](auto coin) {
+    parallel_shards(
+        [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
+          std::uint64_t sent = 0;
+          for (std::uint32_t v = begin; v < end; ++v) {
+            if (coin && node_fails(v)) {
+              ++local.failed_operations;
+              peers_out[v] = kNoPeer;
+              continue;
+            }
+            SplitMix64 stream = node_stream(v);
+            peers_out[v] = sample_peer(v, stream);
+            ++sent;
+          }
+          local.record_messages(sent, bits_per_message);
+        });
   });
 }
 

@@ -133,6 +133,11 @@ GenericSpreadResult<T> engine_spread_best(Engine& engine, std::vector<T> cur,
 // cache-sized partitions.  At the default shard_size only n <= 2^14 has
 // one shard.
 //
+// Both paths share one send loop, which draws every node's peer each round
+// and takes the failure coin through with_fault_coin (sim/executor.hpp):
+// failure-free runs compile the coin out, because even never taken, its
+// call makes the loop reload its state around every node.
+//
 // Working state is engine-pooled (Engine::scratch) and first-touch
 // initialized: each shard's slice of the arrays is first written by the
 // worker that owns the shard, and the per-destination accumulators by their
@@ -188,20 +193,22 @@ MultiPushSumResult<D> engine_push_sum_average_multi(
   // per-shard message accounting); emit(dest, half) takes each half.
   const auto send_shard = [&](std::uint32_t begin, std::uint32_t end,
                               Metrics& local, auto&& emit) {
-    std::uint64_t sent = 0;
-    for (std::uint32_t v = begin; v < end; ++v) {
-      if (engine.node_fails(v)) {  // failed: keeps whole pair
-        ++local.failed_operations;
-        continue;
+    engine.with_fault_coin([&](auto coin) {
+      std::uint64_t sent = 0;
+      for (std::uint32_t v = begin; v < end; ++v) {
+        if (coin && engine.node_fails(v)) {  // failed: keeps whole pair
+          ++local.failed_operations;
+          continue;
+        }
+        SplitMix64 stream = engine.node_stream(v);
+        const std::uint32_t d = engine.sample_peer(v, stream);
+        ++sent;
+        for (std::size_t j = 0; j < D; ++j) state[v].s[j] *= 0.5;
+        state[v].w *= 0.5;
+        emit(d, state[v]);
       }
-      SplitMix64 stream = engine.node_stream(v);
-      const std::uint32_t d = engine.sample_peer(v, stream);
-      ++sent;
-      for (std::size_t j = 0; j < D; ++j) state[v].s[j] *= 0.5;
-      state[v].w *= 0.5;
-      emit(d, state[v]);
-    }
-    local.record_messages(sent, bits);
+      local.record_messages(sent, bits);
+    });
   };
   const auto fold = [&](std::uint32_t dest, const Pair& m) {
     for (std::size_t j = 0; j < D; ++j) inflow[dest].s[j] += m.s[j];

@@ -25,12 +25,18 @@
 // the Engine), so their bit-identity contract rests on one copy of each
 // primitive.  The pipeline templates in core/*_pipeline.hpp take either
 // executor and call these members and the per-executor free functions
-// directly.  Nothing here is virtual: the failure coin is a plain inline
-// call on every pull.
+// directly.  Nothing here is virtual, but the failure coin is still a call
+// per node: node_fails reads the FailureModel's std::function and the
+// adversary's virtual fault().  In a round loop that call makes the
+// compiler reload the loop's state around every node, even when the branch
+// is never taken, so a run-time guard on faultless() does not pay.  The hot
+// engine round loops therefore take the coin through with_fault_coin, which
+// compiles it out of failure-free runs.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <typeindex>
 #include <typeinfo>
 #include <utility>
@@ -88,6 +94,18 @@ class ExecutorCore {
     return failures_.never_fails() && adversary_ == nullptr;
   }
 
+  // Calls fn(std::false_type{}) when faultless() holds and
+  // fn(std::true_type{}) otherwise, so a round loop written once as
+  // `if (coin && node_fails(v))` drops the coin and its two opaque calls
+  // from failure-free runs and keeps the full coin on every other run.
+  // Both are the same transcript: with no fault source node_fails is false
+  // for every node and round and draws no random number.
+  template <typename Fn>
+  decltype(auto) with_fault_coin(Fn&& fn) const {
+    if (faultless()) return fn(std::false_type{});
+    return fn(std::true_type{});
+  }
+
   // Rebases this executor onto a fresh randomness stream: new master seed,
   // round counter back to zero, installed adversary re-bound (bind may
   // allocate, hence no noexcept).  A run after reset_stream(s) is
@@ -131,7 +149,10 @@ class ExecutorCore {
   // reads as a failed operation here (legacy pipelines have no payload layer
   // to corrupt or mailbox to delay into, and no lifecycle notion — a down
   // node simply loses its rounds; kCorrupt is a no-op at this level — only
-  // the adversarial pipelines apply it).
+  // the adversarial pipelines apply it).  The body inlines into the caller
+  // but holds two calls it cannot see through (the model's std::function,
+  // the adversary's virtual fault()); hot round loops reach it behind
+  // with_fault_coin so failure-free runs do not pay for them.
   [[nodiscard]] bool node_fails(std::uint32_t v) const {
     return op_fails(v, round_);
   }

@@ -41,6 +41,29 @@ EngineConfig config_for(unsigned threads) {
   return EngineConfig{.threads = threads, .shard_size = 192};
 }
 
+// Fault inputs of the round-loop pins below.  kNeverFires installs a model
+// that returns 0 everywhere with bound 0: faultless() is false, so the
+// engine's round loops run with the failure coin compiled in
+// (ExecutorCore::with_fault_coin), yet the coin never fires and round
+// schedules (which scale by max_probability()) equal the failure-free
+// ones, so every result and Metrics must equal the failure-free run's.
+enum class Faults { kNone, kNeverFires, kUniform };
+constexpr Faults kFaultInputs[] = {Faults::kNone, Faults::kNeverFires,
+                                   Faults::kUniform};
+
+FailureModel model_for(Faults faults, double mu) {
+  switch (faults) {
+    case Faults::kNone:
+      return FailureModel{};
+    case Faults::kNeverFires:
+      return FailureModel::custom(
+          [](std::uint32_t, std::uint64_t) { return 0.0; }, 0.0);
+    case Faults::kUniform:
+      return FailureModel::uniform(mu);
+  }
+  return FailureModel{};
+}
+
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   for (unsigned threads : kThreadCounts) {
     ThreadPool pool(threads);
@@ -139,23 +162,33 @@ TEST(Engine, RejectsInvalidConfigurations) {
 TEST(Engine, PullRoundTranscriptMatchesNetworkAtEveryThreadCount) {
   constexpr std::uint32_t kN = 1000;
   constexpr std::uint64_t kSeed = 41;
-  for (const bool with_failures : {false, true}) {
-    const FailureModel fm =
-        with_failures ? FailureModel::uniform(0.25) : FailureModel{};
+  for (const Faults faults : kFaultInputs) {
+    const FailureModel fm = model_for(faults, 0.25);
     Network net(kN, kSeed, fm);
     std::vector<std::vector<std::uint32_t>> expected;
     for (int r = 0; r < 12; ++r) expected.push_back(net.pull_round(32));
 
     for (unsigned threads : kThreadCounts) {
       Engine engine(kN, kSeed, fm, config_for(threads));
+      std::vector<std::vector<std::uint32_t>> got;
       for (int r = 0; r < 12; ++r) {
-        EXPECT_EQ(engine.pull_round(32), expected[static_cast<size_t>(r)])
+        got.push_back(engine.pull_round(32));
+        EXPECT_EQ(got.back(), expected[static_cast<size_t>(r)])
             << "threads=" << threads << " round=" << r
-            << " failures=" << with_failures;
+            << " faults=" << static_cast<int>(faults);
       }
       EXPECT_EQ(engine.metrics(), net.metrics())
-          << "threads=" << threads << " failures=" << with_failures;
+          << "threads=" << threads << " faults=" << static_cast<int>(faults);
       EXPECT_EQ(engine.round(), net.round());
+      if (faults == Faults::kNeverFires) {
+        Engine failure_free(kN, kSeed, FailureModel{}, config_for(threads));
+        for (int r = 0; r < 12; ++r) {
+          EXPECT_EQ(got[static_cast<size_t>(r)], failure_free.pull_round(32))
+              << "threads=" << threads << " round=" << r;
+        }
+        EXPECT_EQ(engine.metrics(), failure_free.metrics())
+            << "threads=" << threads;
+      }
     }
   }
 }
@@ -313,9 +346,8 @@ TEST(EngineCollectives, SpreadMatchesCore) {
   const auto keys =
       make_keys(generate_values(Distribution::kGaussian, kN, 13));
 
-  for (const bool with_failures : {false, true}) {
-    const FailureModel fm =
-        with_failures ? FailureModel::uniform(0.3) : FailureModel{};
+  for (const Faults faults : kFaultInputs) {
+    const FailureModel fm = model_for(faults, 0.3);
     Network net(kN, kSeed, fm);
     const SpreadResult seq_min = spread_min(net, keys);
     const SpreadResult seq_max = spread_max(net, keys);
@@ -331,7 +363,18 @@ TEST(EngineCollectives, SpreadMatchesCore) {
       EXPECT_EQ(par_max.rounds, seq_max.rounds);
       EXPECT_EQ(par_max.converged, seq_max.converged);
       EXPECT_EQ(engine.metrics(), net.metrics())
-          << "threads=" << threads << " failures=" << with_failures;
+          << "threads=" << threads << " faults=" << static_cast<int>(faults);
+      if (faults == Faults::kNeverFires) {
+        Engine failure_free(kN, kSeed, FailureModel{}, config_for(threads));
+        const SpreadResult free_min = spread_min(failure_free, keys);
+        const SpreadResult free_max = spread_max(failure_free, keys);
+        EXPECT_EQ(par_min.values, free_min.values) << "threads=" << threads;
+        EXPECT_EQ(par_min.rounds, free_min.rounds) << "threads=" << threads;
+        EXPECT_EQ(par_max.values, free_max.values) << "threads=" << threads;
+        EXPECT_EQ(par_max.rounds, free_max.rounds) << "threads=" << threads;
+        EXPECT_EQ(engine.metrics(), failure_free.metrics())
+            << "threads=" << threads;
+      }
     }
   }
 }
@@ -346,9 +389,8 @@ TEST(EngineCollectives, SpreadMinMaxMatchesCore) {
   const auto hi =
       make_keys(generate_values(Distribution::kExponential, kN, 15));
 
-  for (const bool with_failures : {false, true}) {
-    const FailureModel fm =
-        with_failures ? FailureModel::uniform(0.25) : FailureModel{};
+  for (const Faults faults : kFaultInputs) {
+    const FailureModel fm = model_for(faults, 0.25);
     Network net(kN, kSeed, fm);
     const auto seq = spread_min_max(net, lo, hi);
     ASSERT_TRUE(seq.converged);
@@ -357,11 +399,19 @@ TEST(EngineCollectives, SpreadMinMaxMatchesCore) {
       Engine engine(kN, kSeed, fm, config_for(threads));
       const auto par = spread_min_max(engine, lo, hi);
       EXPECT_EQ(par.values, seq.values)
-          << "threads=" << threads << " failures=" << with_failures;
+          << "threads=" << threads << " faults=" << static_cast<int>(faults);
       EXPECT_EQ(par.rounds, seq.rounds);
       EXPECT_EQ(par.converged, seq.converged);
       EXPECT_EQ(engine.metrics(), net.metrics())
-          << "threads=" << threads << " failures=" << with_failures;
+          << "threads=" << threads << " faults=" << static_cast<int>(faults);
+      if (faults == Faults::kNeverFires) {
+        Engine failure_free(kN, kSeed, FailureModel{}, config_for(threads));
+        const auto free_run = spread_min_max(failure_free, lo, hi);
+        EXPECT_EQ(par.values, free_run.values) << "threads=" << threads;
+        EXPECT_EQ(par.rounds, free_run.rounds) << "threads=" << threads;
+        EXPECT_EQ(engine.metrics(), failure_free.metrics())
+            << "threads=" << threads;
+      }
     }
   }
 }
@@ -382,9 +432,8 @@ TEST(EngineCollectives, GossipCountMatchesCore) {
   // the default shard_size leaves one shard that folds in place.  Rounds 0
   // is the exact schedule; 4 and 12 stop while per-node counts still
   // differ, so each node's own fold order shows in its count.
-  for (const bool with_failures : {false, true}) {
-    const FailureModel fm =
-        with_failures ? FailureModel::uniform(0.25) : FailureModel{};
+  for (const Faults faults : kFaultInputs) {
+    const FailureModel fm = model_for(faults, 0.25);
     for (const std::uint64_t rounds : {0u, 4u, 12u}) {
       Network net(kN, kSeed, fm);
       const CountResult seq_count = gossip_count(net, ind_a, rounds);
@@ -411,7 +460,7 @@ TEST(EngineCollectives, GossipCountMatchesCore) {
           const std::string where =
               "threads=" + std::to_string(threads) +
               " shards=" + std::to_string(engine.num_shards()) +
-              " failures=" + std::to_string(with_failures) +
+              " faults=" + std::to_string(static_cast<int>(faults)) +
               " rounds=" + std::to_string(rounds);
           EXPECT_EQ(par_count.counts, seq_count.counts) << where;
           EXPECT_EQ(par_count.rounds, seq_count.rounds) << where;
@@ -421,6 +470,23 @@ TEST(EngineCollectives, GossipCountMatchesCore) {
           EXPECT_EQ(par3.c, seq3.c) << where;
           EXPECT_EQ(par3.rounds, seq3.rounds) << where;
           EXPECT_EQ(engine.metrics(), net.metrics()) << where;
+          if (faults == Faults::kNeverFires) {
+            Engine failure_free(kN, kSeed, FailureModel{}, config);
+            const CountResult free_count =
+                gossip_count(failure_free, ind_a, rounds);
+            const CountResult free_rank =
+                gossip_rank(failure_free, keys, keys[kN / 2], rounds);
+            const TripleCountResult free3 =
+                gossip_count3(failure_free, ind_a, ind_b, ind_c, rounds);
+            EXPECT_EQ(par_count.counts, free_count.counts) << where;
+            EXPECT_EQ(par_count.rounds, free_count.rounds) << where;
+            EXPECT_EQ(par_rank.counts, free_rank.counts) << where;
+            EXPECT_EQ(par3.a, free3.a) << where;
+            EXPECT_EQ(par3.b, free3.b) << where;
+            EXPECT_EQ(par3.c, free3.c) << where;
+            EXPECT_EQ(par3.rounds, free3.rounds) << where;
+            EXPECT_EQ(engine.metrics(), failure_free.metrics()) << where;
+          }
         }
       }
     }
