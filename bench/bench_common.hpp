@@ -1,7 +1,7 @@
 // Shared output helpers for the experiment harness: every bench prints
-// markdown tables so EXPERIMENTS.md rows can be pasted verbatim, and can
-// additionally emit machine-readable timing records (see JsonArtifact) so
-// the perf trajectory survives in BENCH_engine.json instead of scrollback.
+// markdown tables, and can additionally emit machine-readable timing
+// records (see JsonArtifact) so the perf trajectory survives in
+// BENCH_engine.json instead of scrollback.
 #pragma once
 
 #include <chrono>

@@ -26,7 +26,9 @@ std::uint64_t push_sum_rounds_for_exact(std::uint32_t n,
                                         const FailureModel& failures) {
   // Calibrated: the rounding cliff (first integer-exact counts across all
   // nodes) sits near 2 log2 n + 30 for n up to 2^18; this schedule clears
-  // it with ~1/3 margin.  See EXPERIMENTS.md (counting calibration).
+  // it with ~1/3 margin.  The GossipCount and GossipRank cases of
+  // tests/test_agg.cpp check every node's count on it, with and without
+  // failures, and every exact-quantile run re-checks its answer with one.
   return scale_for_failures(failures, 3 * ceil_log2(n) + 20);
 }
 

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <functional>
 #include <utility>
 
 namespace gq {
@@ -18,24 +17,6 @@ std::uint64_t spread_rounds_cap(std::uint32_t n,
       std::ceil(static_cast<double>(base) / (1.0 - mu)));
 }
 
-std::uint64_t spread_rounds_cap(const Network& net) {
-  return spread_rounds_cap(net.size(), net.failures());
-}
-
-SpreadResult spread_max(Network& net, std::span<const Key> init,
-                        std::uint64_t max_rounds) {
-  return spread_best(net, std::vector<Key>(init.begin(), init.end()),
-                     KeepBetter<std::less<Key>>{}, key_bits(net.size()),
-                     max_rounds);
-}
-
-SpreadResult spread_min(Network& net, std::span<const Key> init,
-                        std::uint64_t max_rounds) {
-  return spread_best(net, std::vector<Key>(init.begin(), init.end()),
-                     KeepBetter<std::greater<Key>>{}, key_bits(net.size()),
-                     max_rounds);
-}
-
 std::vector<MinMaxKeys> min_max_payloads(std::vector<Key> min_init,
                                          std::vector<Key> max_init) {
   GQ_REQUIRE(min_init.size() == max_init.size(),
@@ -49,15 +30,6 @@ std::vector<MinMaxKeys> min_max_payloads(std::vector<Key> min_init,
   min_init = std::vector<Key>();
   max_init = std::vector<Key>();
   return out;
-}
-
-GenericSpreadResult<MinMaxKeys> spread_min_max(Network& net,
-                                               std::vector<Key> min_init,
-                                               std::vector<Key> max_init,
-                                               std::uint64_t max_rounds) {
-  return spread_best(
-      net, min_max_payloads(std::move(min_init), std::move(max_init)),
-      MinMaxJoin{}, 2 * key_bits(net.size()), max_rounds);
 }
 
 }  // namespace gq

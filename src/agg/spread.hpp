@@ -11,14 +11,22 @@
 // after a fixed c*log n schedule or when a node's value is stable for a
 // constant number of rounds; the round counts reported here are the honest
 // cost of the process itself.
+//
+// spread_min, spread_max and spread_min_max are one template each over the
+// executor.  They reach it only through the round kernel spread_best, found
+// by argument-dependent lookup: the Network's below, the Engine's in
+// engine/pipelines.hpp.
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "sim/executor.hpp"
 #include "sim/key.hpp"
 #include "sim/network.hpp"
 #include "util/require.hpp"
@@ -26,11 +34,9 @@
 namespace gq {
 
 // Default cap on spreading rounds: generous multiple of log2 n, scaled for
-// failures.  The (n, failures) overload is the pure schedule shared with
-// the parallel engine's batched spread kernels.
+// failures.  Both executors' spread kernels derive it from (n, failures).
 [[nodiscard]] std::uint64_t spread_rounds_cap(std::uint32_t n,
                                               const FailureModel& failures);
-[[nodiscard]] std::uint64_t spread_rounds_cap(const Network& net);
 
 template <typename T>
 struct GenericSpreadResult {
@@ -79,16 +85,18 @@ struct MinMaxJoin {
 [[nodiscard]] std::vector<MinMaxKeys> min_max_payloads(
     std::vector<Key> min_init, std::vector<Key> max_init);
 
-// Spreads `init` under `join`; `bits_per_message` is the accounted size of
-// one payload.  Takes the payloads by value so callers can hand over their
-// buffer.
+// The Network's spread round kernel: spreads `cur` under `join`;
+// `bits_per_message` is the accounted size of one payload (max_rounds 0 =
+// spread_rounds_cap).  Takes the payloads by value so callers can hand over
+// their buffer.  The Engine's batched twin is declared in
+// engine/pipelines.hpp.
 template <typename T, typename Join>
 GenericSpreadResult<T> spread_best(Network& net, std::vector<T> cur,
                                    Join join, std::uint64_t bits_per_message,
                                    std::uint64_t max_rounds = 0) {
   const std::uint32_t n = net.size();
   GQ_REQUIRE(cur.size() == n, "one payload per node required");
-  if (max_rounds == 0) max_rounds = spread_rounds_cap(net);
+  if (max_rounds == 0) max_rounds = spread_rounds_cap(n, net.failures());
 
   T target = cur.front();
   for (std::uint32_t v = 1; v < n; ++v) target = join(target, cur[v]);
@@ -118,20 +126,35 @@ GenericSpreadResult<T> spread_best(Network& net, std::vector<T> cur,
 }
 
 // Max-spreading: every node ends up with max(init) w.h.p.
-[[nodiscard]] SpreadResult spread_max(Network& net, std::span<const Key> init,
-                                      std::uint64_t max_rounds = 0);
+template <std::derived_from<ExecutorCore> Exec>
+[[nodiscard]] SpreadResult spread_max(Exec& exec, std::span<const Key> init,
+                                      std::uint64_t max_rounds = 0) {
+  return spread_best(exec, std::vector<Key>(init.begin(), init.end()),
+                     KeepBetter<std::less<Key>>{}, key_bits(exec.size()),
+                     max_rounds);
+}
 
 // Min-spreading: every node ends up with min(init) w.h.p.
-[[nodiscard]] SpreadResult spread_min(Network& net, std::span<const Key> init,
-                                      std::uint64_t max_rounds = 0);
+template <std::derived_from<ExecutorCore> Exec>
+[[nodiscard]] SpreadResult spread_min(Exec& exec, std::span<const Key> init,
+                                      std::uint64_t max_rounds = 0) {
+  return spread_best(exec, std::vector<Key>(init.begin(), init.end()),
+                     KeepBetter<std::greater<Key>>{}, key_bits(exec.size()),
+                     max_rounds);
+}
 
 // Both at once: every node ends up with {min(min_init), max(max_init)}
 // w.h.p.  Each pull carries both lanes (2 x key_bits(n) bits) and the run
 // stops once both lanes agree at every node, so it costs the slower lane's
 // rounds instead of the sum of two spreads.  The inputs are released before
 // the first round.
+template <std::derived_from<ExecutorCore> Exec>
 [[nodiscard]] GenericSpreadResult<MinMaxKeys> spread_min_max(
-    Network& net, std::vector<Key> min_init, std::vector<Key> max_init,
-    std::uint64_t max_rounds = 0);
+    Exec& exec, std::vector<Key> min_init, std::vector<Key> max_init,
+    std::uint64_t max_rounds = 0) {
+  return spread_best(
+      exec, min_max_payloads(std::move(min_init), std::move(max_init)),
+      MinMaxJoin{}, 2 * key_bits(exec.size()), max_rounds);
+}
 
 }  // namespace gq

@@ -20,8 +20,9 @@ namespace gq {
 // Engineering floor on eps below which the tournament pipeline's
 // concentration is no longer trustworthy at practical n and the library
 // falls back to the exact algorithm (Theorem 1.2's bootstrap route).  The
-// paper's asymptotic floor is Omega(n^-0.096) (Theorem 2.1); the constant
-// here was calibrated empirically (see EXPERIMENTS.md).
+// paper's asymptotic floor is Omega(n^-0.096) (Theorem 2.1).  The floor
+// here, max(2 n^(-1/3), 8/n) capped at 1/4, has empirically calibrated
+// constants; theory_bounds.cpp names the regime behind each term.
 [[nodiscard]] double eps_tournament_floor(std::uint32_t n);
 
 // Section 5.1: per-iteration pull fan-out k = numerator/(1-mu) *

@@ -4,18 +4,19 @@
 // and Metrics, so the pipeline is ONE template over the executor and both
 // executors instantiate the same control flow:
 //
-//   * core/exact_quantile.cpp  — over the sequential Network
-//     (agg/spread, agg/rank_count, core/pivot, core/token_split);
-//   * engine/pipelines.cpp     — over the parallel Engine's batched
-//     kernels (scatter-based push-sum, token split, spreads).
+//   * core/exact_quantile.cpp  — over the sequential Network;
+//   * engine/pipelines.cpp     — over the parallel Engine.
 //
 // The template calls each substrate by argument-dependent lookup on the
-// executor: approx_quantile_keys, multi_quantile_keys, spread_min,
-// spread_max, spread_min_max, gossip_count, gossip_rank, gossip_count3,
-// sample_uniform_candidate and token_split_distribute, plus the executor's
-// own size / seed / round / metrics / failures.  Bit-identity of the two
-// paths then reduces to bit-identity of each primitive, which
-// tests/test_engine.cpp pins kernel by kernel.
+// executor: the per-executor entry points approx_quantile_keys,
+// multi_quantile_keys and token_split_distribute, and the collectives
+// spread_min, spread_max, spread_min_max (agg/spread.hpp), gossip_count,
+// gossip_rank, gossip_count3 (agg/rank_count.hpp) and
+// sample_uniform_candidate (core/pivot.hpp), which are one template each
+// over the executor's two round kernels, push_sum_average_multi and
+// spread_best; plus the executor's own size / seed / round / metrics /
+// failures.  Bit-identity of the two paths then reduces to bit-identity of
+// each kernel, which tests/test_engine.cpp pins kernel by kernel.
 //
 // Steps 3-4 run on the shared schedule of core/multi_pipeline.hpp: the
 // (k/n - s)- and (k/n + s)-quantile brackets are two lanes of ONE
@@ -53,9 +54,9 @@
 
 namespace gq::exact_detail {
 
-// Safety cap on bracketing iterations (the paper uses a fixed 25; we
-// terminate adaptively once the duplicated answer block covers the final
-// approximation window, see DESIGN.md).
+// Safety cap on bracketing iterations (the paper uses a fixed 25, whose
+// constants only close at astronomical n; we terminate adaptively once the
+// duplicated answer block covers the final approximation window).
 inline constexpr std::uint32_t kMaxIterations = 64;
 
 // Cap on selection-endgame phases (only reached for pathological inputs).

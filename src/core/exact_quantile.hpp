@@ -3,8 +3,9 @@
 //
 // The algorithm tracks the target rank k (initially ceil(phi*n)) through a
 // sequence of *bracketing iterations*.  Each iteration:
-//   1. runs the approximate pipeline twice to obtain per-node brackets
-//      around the k/n-quantile, and spreads their min and max [Step 3-4];
+//   1. obtains per-node brackets around the k/n-quantile, both brackets
+//      as two lanes of one shared tournament run, and spreads their min
+//      and max as two lanes of one spread [Step 3-4];
 //   2. counts, exactly via push-sum, the ranks of both brackets and the
 //      number of surviving values [Step 5];
 //   3. discards every value outside [min, max] [Step 6]; and
@@ -15,7 +16,7 @@
 // the final approximation window, a single approximate query returns the
 // answer at every node [Step 10].
 //
-// Deviations from the paper, recorded in DESIGN.md:
+// Deviations from the paper:
 //   * termination is adaptive (block coverage) instead of a fixed 25
 //     iterations, whose constants only close at astronomical n;
 //   * both bracket ranks are counted exactly, which makes the bracketing

@@ -30,7 +30,7 @@ struct ApproxQuantileParams {
 };
 
 // How the exact algorithm finishes once bracketing has crushed the
-// candidate set (see DESIGN.md "Deviations"):
+// candidate set (one of the deviations listed in core/exact_quantile.hpp):
 //   * kAuto compares the predicted round cost of the paper's duplication
 //     route against the selection endgame and picks the cheaper one — at
 //     practical n the duplication multiplier m is 1-4 (the paper's

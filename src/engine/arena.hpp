@@ -1,20 +1,21 @@
 // Per-engine mailbox arena for the scatter primitive.
 //
-// Every push-shaped collective (push-sum counting, pivot spreading, the
-// Step-7 token split) routes its traffic through a Scatter, and before this
-// arena existed each collective constructed its own rows x partitions
-// mailbox table and re-grew every mailbox from zero — in a long
-// exact_quantile run that is thousands of throwaway vector growths.  The
-// arena gives the Engine ownership of one mailbox table that collectives
-// check out and return: byte capacity reached in round r is still there in
-// round r+1000 and in the next pipeline stage, so steady-state rounds
-// perform zero heap allocations in the scatter path.
+// The push-shaped collectives (push-sum counting on multi-shard engines, the
+// Step-7 token split) route their traffic through a Scatter; one-shard
+// push-sum folds in place, and spreads, pivot spreading included, are
+// pulls.  Before this arena existed each collective constructed its own
+// rows x partitions mailbox table and re-grew every mailbox from zero — in
+// a long exact_quantile run that is thousands of throwaway vector growths.
+// The arena gives the Engine ownership of one mailbox table that
+// collectives check out and return: byte capacity reached in round r is
+// still there in round r+1000 and in the next pipeline stage, so
+// steady-state rounds perform zero heap allocations in the scatter path.
 //
 // Boxes store raw bytes rather than typed records so the same capacity is
-// reused across payload types (a push-sum Mass round followed by a Token
-// round reuses the same slabs).  Scatter<Payload> imposes the record
-// framing; payloads must be trivially copyable, which every gossip payload
-// is (they model wire messages).
+// reused across payload types (a push-sum PushSumScratch<D>::Pair round
+// followed by a Token round reuses the same slabs).  Scatter<Payload>
+// imposes the record framing; payloads must be trivially copyable, which
+// every gossip payload is (they model wire messages).
 //
 // NUMA note: a mailbox row is written by exactly one sender shard, and
 // growth happens inside that shard's send loop — so the pages of a row's

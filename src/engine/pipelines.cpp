@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
 #include <atomic>
@@ -25,9 +24,8 @@
 #include "workload/tiebreak.hpp"
 
 namespace gq {
-namespace {
 
-// ---- generic extreme-spreading -------------------------------------------
+// ---- spread round kernel --------------------------------------------------
 //
 // The batched twin of agg/spread.hpp's spread_best: same target (the join
 // of every initial payload, folded shard-wise and combined in shard order),
@@ -36,10 +34,9 @@ namespace {
 // into the round kernel so the omniscient all-agree check costs no extra
 // parallel section.
 template <typename T, typename Join>
-GenericSpreadResult<T> engine_spread_best(Engine& engine, std::vector<T> cur,
-                                          Join join,
-                                          std::uint64_t bits_per_message,
-                                          std::uint64_t max_rounds = 0) {
+GenericSpreadResult<T> spread_best(Engine& engine, std::vector<T> cur,
+                                   Join join, std::uint64_t bits_per_message,
+                                   std::uint64_t max_rounds) {
   const std::uint32_t n = engine.size();
   GQ_REQUIRE(cur.size() == n, "one payload per node required");
   if (max_rounds == 0) {
@@ -113,12 +110,26 @@ GenericSpreadResult<T> engine_spread_best(Engine& engine, std::vector<T> cur,
   return out;
 }
 
-// ---- push-sum: in-place fold on one shard, scatter on several ------------
+template GenericSpreadResult<Key> spread_best(Engine&, std::vector<Key>,
+                                              KeepBetter<std::less<Key>>,
+                                              std::uint64_t, std::uint64_t);
+template GenericSpreadResult<Key> spread_best(Engine&, std::vector<Key>,
+                                              KeepBetter<std::greater<Key>>,
+                                              std::uint64_t, std::uint64_t);
+template GenericSpreadResult<MinMaxKeys> spread_best(Engine&,
+                                                     std::vector<MinMaxKeys>,
+                                                     MinMaxJoin, std::uint64_t,
+                                                     std::uint64_t);
+template GenericSpreadResult<pivot_detail::PriorityKey> spread_best(
+    Engine&, std::vector<pivot_detail::PriorityKey>,
+    KeepBetter<pivot_detail::PriorityLess>, std::uint64_t, std::uint64_t);
+
+// ---- push-sum round kernel: in-place fold on one shard, scatter on several
 //
-// The batched twin of push_sum_average_multi: per round, every node halves
-// its masses and pushes one half; each destination adds its incoming halves
-// in ascending sender order and commits them once — the exact
-// floating-point fold order of the sequential for-loop.
+// The batched twin of agg/push_sum.hpp's push_sum_average_multi: per round,
+// every node halves its masses and pushes one half; each destination adds
+// its incoming halves in ascending sender order and commits them once — the
+// exact floating-point fold order of the sequential for-loop.
 //
 // On a one-shard engine the send section is a single task that walks the
 // senders in ascending order, so it already produces that order: the send
@@ -149,6 +160,8 @@ GenericSpreadResult<T> engine_spread_best(Engine& engine, std::vector<T> cur,
 // sender's pair, bump the destination's accumulator pair), and keeping each
 // pair on one cache line instead of two halves the lines the L2 has to
 // serve on the hottest loop of the counting stages.
+namespace {
+
 template <std::size_t D>
 struct PushSumScratch {
   struct Pair {
@@ -159,8 +172,10 @@ struct PushSumScratch {
   FirstTouchBuffer<Pair> inflow;  // accumulated incoming masses
 };
 
+}  // namespace
+
 template <std::size_t D>
-MultiPushSumResult<D> engine_push_sum_average_multi(
+MultiPushSumResult<D> push_sum_average_multi(
     Engine& engine, std::span<const std::array<double, D>> x,
     std::uint64_t rounds) {
   GQ_SPAN("agg/push_sum");
@@ -280,141 +295,12 @@ MultiPushSumResult<D> engine_push_sum_average_multi(
   return out;
 }
 
-}  // namespace
+template MultiPushSumResult<1> push_sum_average_multi<1>(
+    Engine&, std::span<const std::array<double, 1>>, std::uint64_t);
+template MultiPushSumResult<3> push_sum_average_multi<3>(
+    Engine&, std::span<const std::array<double, 3>>, std::uint64_t);
 
-// ---- batched collectives --------------------------------------------------
-
-SpreadResult spread_min(Engine& engine, std::span<const Key> init,
-                        std::uint64_t max_rounds) {
-  return engine_spread_best(engine, std::vector<Key>(init.begin(), init.end()),
-                            KeepBetter<std::greater<Key>>{},
-                            key_bits(engine.size()), max_rounds);
-}
-
-SpreadResult spread_max(Engine& engine, std::span<const Key> init,
-                        std::uint64_t max_rounds) {
-  return engine_spread_best(engine, std::vector<Key>(init.begin(), init.end()),
-                            KeepBetter<std::less<Key>>{},
-                            key_bits(engine.size()), max_rounds);
-}
-
-GenericSpreadResult<MinMaxKeys> spread_min_max(Engine& engine,
-                                               std::vector<Key> min_init,
-                                               std::vector<Key> max_init,
-                                               std::uint64_t max_rounds) {
-  return engine_spread_best(
-      engine, min_max_payloads(std::move(min_init), std::move(max_init)),
-      MinMaxJoin{}, 2 * key_bits(engine.size()), max_rounds);
-}
-
-CountResult gossip_count(Engine& engine, const std::vector<bool>& indicator,
-                         std::uint64_t rounds) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(indicator.size() == n, "one indicator bit per node required");
-  if (rounds == 0) rounds = push_sum_rounds_for_exact(n, engine.failures());
-
-  std::vector<std::array<double, 1>> x(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    x[v][0] = indicator[v] ? 1.0 : 0.0;
-  }
-  const MultiPushSumResult<1> sum = engine_push_sum_average_multi<1>(
-      engine, std::span<const std::array<double, 1>>(x), rounds);
-
-  CountResult out;
-  out.rounds = sum.rounds;
-  out.counts.resize(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const double rounded =
-        std::round(sum.estimates[v][0] * static_cast<double>(n));
-    out.counts[v] = rounded <= 0.0 ? 0 : static_cast<std::uint64_t>(rounded);
-  }
-  return out;
-}
-
-CountResult gossip_rank(Engine& engine, std::span<const Key> keys,
-                        const Key& threshold, std::uint64_t rounds) {
-  std::vector<bool> indicator(keys.size());
-  for (std::size_t v = 0; v < keys.size(); ++v) {
-    indicator[v] = keys[v] <= threshold;
-  }
-  return gossip_count(engine, indicator, rounds);
-}
-
-TripleCountResult gossip_count3(Engine& engine,
-                                const std::vector<bool>& ind_a,
-                                const std::vector<bool>& ind_b,
-                                const std::vector<bool>& ind_c,
-                                std::uint64_t rounds) {
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(ind_a.size() == n && ind_b.size() == n && ind_c.size() == n,
-             "one indicator bit per node required");
-  if (rounds == 0) rounds = push_sum_rounds_for_exact(n, engine.failures());
-
-  std::vector<std::array<double, 3>> x(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    x[v] = {ind_a[v] ? 1.0 : 0.0, ind_b[v] ? 1.0 : 0.0, ind_c[v] ? 1.0 : 0.0};
-  }
-  const MultiPushSumResult<3> avg = engine_push_sum_average_multi<3>(
-      engine, std::span<const std::array<double, 3>>(x), rounds);
-
-  TripleCountResult out;
-  out.rounds = avg.rounds;
-  out.a.resize(n);
-  out.b.resize(n);
-  out.c.resize(n);
-  const auto to_count = [n](double e) {
-    const double rounded = std::round(e * static_cast<double>(n));
-    return rounded <= 0.0 ? std::uint64_t{0}
-                          : static_cast<std::uint64_t>(rounded);
-  };
-  for (std::uint32_t v = 0; v < n; ++v) {
-    out.a[v] = to_count(avg.estimates[v][0]);
-    out.b[v] = to_count(avg.estimates[v][1]);
-    out.c[v] = to_count(avg.estimates[v][2]);
-  }
-  return out;
-}
-
-PivotSample sample_uniform_candidate(Engine& engine,
-                                     std::span<const Key> inst,
-                                     const std::vector<bool>& candidate) {
-  using pivot_detail::PriorityKey;
-  using pivot_detail::PriorityLess;
-  const std::uint32_t n = engine.size();
-  GQ_REQUIRE(inst.size() == n && candidate.size() == n,
-             "one key and one candidate flag per node required");
-
-  // One local round in which every candidate draws its priority; failed
-  // nodes sit this pivot out, which keeps the choice uniform over the
-  // participating candidates.
-  engine.begin_round();
-  std::vector<PriorityKey> pairs(n);
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
-        for (std::uint32_t v = begin; v < end; ++v) {
-          if (!candidate[v]) continue;
-          if (engine.node_fails(v)) {
-            ++local.failed_operations;
-            continue;
-          }
-          SplitMix64 stream = engine.node_stream(v);
-          pairs[v] = PriorityKey{stream() | 1ull, inst[v]};
-        }
-      });
-
-  const GenericSpreadResult<PriorityKey> spread =
-      engine_spread_best(engine, std::move(pairs), KeepBetter<PriorityLess>{},
-                         pivot_detail::priority_key_bits(n));
-
-  PivotSample out;
-  out.rounds = 1 + spread.rounds;
-  const PriorityKey& winner = spread.values.front();
-  if (winner.priority != 0 && spread.converged) {
-    out.found = true;
-    out.pivot = winner.key;
-  }
-  return out;
-}
+// ---- token split ----------------------------------------------------------
 
 namespace {
 

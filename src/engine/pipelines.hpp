@@ -1,40 +1,50 @@
 // Engine-native quantile pipelines: the headline algorithms of the paper —
 // approx_quantile (Theorem 2.1 / 1.2) and exact_quantile (Theorem 1.1) —
-// running end-to-end on the sharded parallel Engine, plus the batched
-// gossip collectives they are built from.
+// running end-to-end on the sharded parallel Engine, plus the round kernels
+// of the gossip collectives they are built from.
 //
-// Every function here is an overload of its sequential namesake taking
+// Every pipeline here is an overload of its sequential namesake taking
 // Engine& instead of Network&, returns the same result struct, and is
 // **bit-identical** to the sequential path — same outputs, same round
 // counts, same Metrics — at every thread count and shard size (pinned by
 // tests/test_engine.cpp).  Porting a caller is a one-line change of the
 // executor type; see examples/quickstart.cpp.
 //
-// How bit-identity survives the push patterns: the pull-shaped collectives
-// (spreads, tournaments) parallelise with per-node output slots as before,
-// while the push-shaped ones — push-sum counting and the Step-7 token
-// split — route their traffic through engine/scatter.hpp, which applies
-// payloads to each destination in ascending sender order, exactly the
-// order the sequential for-loop produces.  On a one-shard engine push-sum
-// skips the scatter: its single send task already produces that order, so
-// it folds each message into the destination as it is sent.  The exact pipeline's control
-// flow itself is not duplicated: both executors instantiate the shared
-// template in core/exact_pipeline.hpp.
+// The collectives themselves (spread_min / spread_max / spread_min_max in
+// agg/spread.hpp, gossip_count / gossip_rank / gossip_count3 in
+// agg/rank_count.hpp, sample_uniform_candidate in core/pivot.hpp) are one
+// template each over the executor; the Engine contributes only their two
+// round kernels, push_sum_average_multi and spread_best, declared below and
+// found by argument-dependent lookup.  The exact pipeline's control flow is
+// not duplicated either: both executors instantiate the shared template in
+// core/exact_pipeline.hpp.
 //
-// Scope: both the failure-free and the Section-5 failure model.  The
-// batched collectives below (spread, count, pivot, token split) honour
-// FailureModel directly, and under a failure model the pipelines route
-// through the engine-native robust kernels (engine/kernels.hpp:
-// robust_two_tournament / robust_three_tournament / robust_coverage, which
-// share the schedule control flow with core/robust.cpp via
-// core/robust_pipeline.hpp) — so adversarial sweeps run at n = 10^7 with
-// the same bit-identity guarantee, pinned by tests/test_engine_robust.cpp.
+// How bit-identity survives the push patterns: the pull-shaped kernels
+// (spreads, tournaments) parallelise with per-node output slots, while the
+// push-shaped ones — push-sum counting and the Step-7 token split — route
+// their traffic through engine/scatter.hpp, which applies payloads to each
+// destination in ascending sender order, exactly the order the sequential
+// for-loop produces.  On a one-shard engine push-sum skips the scatter: its
+// single send task already produces that order, so it folds each message
+// into the destination as it is sent.
+//
+// Scope: both the failure-free and the Section-5 failure model.  The round
+// kernels below (spread, push-sum, token split) honour FailureModel
+// directly, and under a failure model the pipelines route through the
+// engine-native robust kernels (engine/kernels.hpp: robust_two_tournament /
+// robust_three_tournament / robust_coverage, which share the schedule
+// control flow with core/robust.cpp via core/robust_pipeline.hpp) — so
+// adversarial sweeps run at n = 10^7 with the same bit-identity guarantee,
+// pinned by tests/test_engine_robust.cpp.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "agg/push_sum.hpp"
 #include "agg/rank_count.hpp"
 #include "agg/spread.hpp"
 #include "core/adversarial_pipeline.hpp"
@@ -48,36 +58,25 @@
 
 namespace gq {
 
-// ---- batched collectives --------------------------------------------------
+// ---- round kernels and the token split ------------------------------------
 
-// Min-/max-broadcast over uniform gossip; see agg/spread.hpp.
-[[nodiscard]] SpreadResult spread_min(Engine& engine,
-                                      std::span<const Key> init,
-                                      std::uint64_t max_rounds = 0);
-[[nodiscard]] SpreadResult spread_max(Engine& engine,
-                                      std::span<const Key> init,
-                                      std::uint64_t max_rounds = 0);
-[[nodiscard]] GenericSpreadResult<MinMaxKeys> spread_min_max(
-    Engine& engine, std::vector<Key> min_init, std::vector<Key> max_init,
-    std::uint64_t max_rounds = 0);
-
-// Exact push-sum counting; see agg/rank_count.hpp.
-[[nodiscard]] CountResult gossip_count(Engine& engine,
-                                       const std::vector<bool>& indicator,
-                                       std::uint64_t rounds = 0);
-[[nodiscard]] CountResult gossip_rank(Engine& engine,
-                                      std::span<const Key> keys,
-                                      const Key& threshold,
-                                      std::uint64_t rounds = 0);
-[[nodiscard]] TripleCountResult gossip_count3(
-    Engine& engine, const std::vector<bool>& ind_a,
-    const std::vector<bool>& ind_b, const std::vector<bool>& ind_c,
+// The Engine's push-sum round kernel, bit-identical to the Network's in
+// agg/push_sum.hpp; the counting templates of agg/rank_count.hpp call it.
+// Instantiated for D = 1 and D = 3.
+template <std::size_t D>
+[[nodiscard]] MultiPushSumResult<D> push_sum_average_multi(
+    Engine& engine, std::span<const std::array<double, D>> x,
     std::uint64_t rounds = 0);
 
-// Uniform pivot sampling; see core/pivot.hpp.
-[[nodiscard]] PivotSample sample_uniform_candidate(
-    Engine& engine, std::span<const Key> inst,
-    const std::vector<bool>& candidate);
+// The Engine's spread round kernel, bit-identical to the Network's in
+// agg/spread.hpp; the spreads there and core/pivot.hpp's pivot sampling
+// call it.  Instantiated for the payloads those use: KeepBetter over
+// std::less<Key> and std::greater<Key>, MinMaxJoin, and KeepBetter over
+// pivot_detail::PriorityLess.
+template <typename T, typename Join>
+[[nodiscard]] GenericSpreadResult<T> spread_best(
+    Engine& engine, std::vector<T> cur, Join join,
+    std::uint64_t bits_per_message, std::uint64_t max_rounds = 0);
 
 // Token split-and-distribute (Algorithm 3 Step 7) on the scatter
 // primitive; see core/token_split.hpp.

@@ -28,6 +28,10 @@ constexpr std::uint64_t kQueryStream = 0x5eed0002;
 constexpr std::uint64_t kMergeStream = 0x5eed0003;
 constexpr std::uint64_t kDegradedStream = 0x5eed0004;
 
+// The quantile of its own stream each node contributes under
+// kLocalQuantile: the local median.
+constexpr double kLocalPhi = 0.5;
+
 // A probe value's threshold key: compares >= every instance key holding the
 // same value, so count_le counts exactly the keys with key.value <= probe.
 constexpr Key probe_key(double value) {
@@ -56,8 +60,6 @@ std::uint32_t count_served(const Engine& engine) {
 QuantileService::QuantileService(std::uint32_t initial_nodes,
                                  ServiceConfig config)
     : cfg_(std::move(config)) {
-  GQ_REQUIRE(cfg_.local_phi >= 0.0 && cfg_.local_phi <= 1.0,
-             "local_phi must lie in [0,1]");
   GQ_REQUIRE(cfg_.session_compact_factor >= 1,
              "session_compact_factor must be at least 1");
   GQ_REQUIRE(cfg_.supervisor.max_attempts >= 1,
@@ -133,7 +135,7 @@ void QuantileService::build_instance(bool every_slot) {
   // distinctness.
   const auto representative = [&](std::uint32_t slot) {
     const Key local =
-        streams_[contributors_[slot]]->local_quantile(cfg_.local_phi);
+        streams_[contributors_[slot]]->local_quantile(kLocalPhi);
     return Key{local.value, slot, 0};
   };
   changed_slots_.clear();

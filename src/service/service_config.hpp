@@ -34,11 +34,10 @@ struct CircuitBreakerConfig {
 // How a sealed epoch turns the live per-node stream summaries into the
 // one-key-per-node gossip instance the engine pipelines run on.
 enum class InstancePolicy {
-  // Node v contributes its own stream's local_phi-quantile (default: the
-  // local median).  Fully local — in a real deployment every node derives
-  // its key from its own summary with no coordination — so queries answer
-  // *fleet* questions: "the p99 across servers of per-server median
-  // latency".
+  // Node v contributes its own stream's median.  Fully local — in a real
+  // deployment every node derives its key from its own summary with no
+  // coordination — so queries answer *fleet* questions: "the p99 across
+  // servers of per-server median latency".
   kLocalQuantile,
   // The epoch instance is the m-point equi-depth resample of the merged
   // global summary (all node sketches merged in ascending node order under
@@ -61,9 +60,6 @@ struct ServiceConfig {
   std::size_t sketch_k = 256;
 
   InstancePolicy instance_policy = InstancePolicy::kLocalQuantile;
-
-  // The local representative quantile under kLocalQuantile.
-  double local_phi = 0.5;
 
   // Defaults for quantile queries; per-request fields override (see
   // query.hpp).

@@ -377,6 +377,34 @@ TEST(EngineCollectives, SpreadMatchesCore) {
       }
     }
   }
+
+  // A round cap that stops both spreads before they converge: the engine
+  // stops at the same round, with the same partial values and Metrics.
+  constexpr std::uint64_t kCap = 3;
+  for (const Faults faults : kFaultInputs) {
+    const FailureModel fm = model_for(faults, 0.3);
+    Network net(kN, kSeed, fm);
+    const SpreadResult seq_min = spread_min(net, keys, kCap);
+    const SpreadResult seq_max = spread_max(net, keys, kCap);
+    ASSERT_FALSE(seq_min.converged);
+    ASSERT_FALSE(seq_max.converged);
+
+    for (unsigned threads : kThreadCounts) {
+      Engine engine(kN, kSeed, fm, config_for(threads));
+      const SpreadResult par_min = spread_min(engine, keys, kCap);
+      const SpreadResult par_max = spread_max(engine, keys, kCap);
+      const std::string where = "capped threads=" + std::to_string(threads) +
+                                " faults=" +
+                                std::to_string(static_cast<int>(faults));
+      EXPECT_EQ(par_min.values, seq_min.values) << where;
+      EXPECT_EQ(par_min.rounds, seq_min.rounds) << where;
+      EXPECT_EQ(par_min.converged, seq_min.converged) << where;
+      EXPECT_EQ(par_max.values, seq_max.values) << where;
+      EXPECT_EQ(par_max.rounds, seq_max.rounds) << where;
+      EXPECT_EQ(par_max.converged, seq_max.converged) << where;
+      EXPECT_EQ(engine.metrics(), net.metrics()) << where;
+    }
+  }
 }
 
 // The exact pipeline's two-lane bracket spread: one pull sequence carries
@@ -412,6 +440,27 @@ TEST(EngineCollectives, SpreadMinMaxMatchesCore) {
         EXPECT_EQ(engine.metrics(), failure_free.metrics())
             << "threads=" << threads;
       }
+    }
+  }
+
+  // A round cap that stops both lanes before they agree everywhere.
+  constexpr std::uint64_t kCap = 3;
+  for (const Faults faults : kFaultInputs) {
+    const FailureModel fm = model_for(faults, 0.25);
+    Network net(kN, kSeed, fm);
+    const auto seq = spread_min_max(net, lo, hi, kCap);
+    ASSERT_FALSE(seq.converged);
+
+    for (unsigned threads : kThreadCounts) {
+      Engine engine(kN, kSeed, fm, config_for(threads));
+      const auto par = spread_min_max(engine, lo, hi, kCap);
+      const std::string where = "capped threads=" + std::to_string(threads) +
+                                " faults=" +
+                                std::to_string(static_cast<int>(faults));
+      EXPECT_EQ(par.values, seq.values) << where;
+      EXPECT_EQ(par.rounds, seq.rounds) << where;
+      EXPECT_EQ(par.converged, seq.converged) << where;
+      EXPECT_EQ(engine.metrics(), net.metrics()) << where;
     }
   }
 }
@@ -515,6 +564,48 @@ TEST(EngineCollectives, PivotMatchesCore) {
       EXPECT_EQ(par.found, seq.found);
       EXPECT_EQ(engine.metrics(), net.metrics())
           << "threads=" << threads << " failures=" << with_failures;
+    }
+  }
+
+  // No candidate: nothing to spread, so the draw round is the whole cost.
+  // One candidate: failure-free, its key is the pivot.  Both on 192-node
+  // shards and on one shard (the default shard_size).
+  constexpr std::uint32_t kOnly = 417;
+  std::vector<bool> none(kN, false);
+  std::vector<bool> one(kN, false);
+  one[kOnly] = true;
+  for (const bool with_failures : {false, true}) {
+    const FailureModel fm =
+        with_failures ? FailureModel::uniform(0.2) : FailureModel{};
+    Network net(kN, kSeed, fm);
+    const PivotSample seq_none = sample_uniform_candidate(net, keys, none);
+    const PivotSample seq_one = sample_uniform_candidate(net, keys, one);
+    EXPECT_FALSE(seq_none.found);
+    EXPECT_EQ(seq_none.rounds, 1u);
+    if (!with_failures) {
+      ASSERT_TRUE(seq_one.found);
+      EXPECT_EQ(seq_one.pivot, keys[kOnly]);
+    }
+
+    for (unsigned threads : kThreadCounts) {
+      for (const EngineConfig& config :
+           {config_for(threads), EngineConfig{.threads = threads}}) {
+        Engine engine(kN, kSeed, fm, config);
+        const PivotSample par_none =
+            sample_uniform_candidate(engine, keys, none);
+        const PivotSample par_one = sample_uniform_candidate(engine, keys, one);
+        const std::string where =
+            "threads=" + std::to_string(threads) +
+            " shards=" + std::to_string(engine.num_shards()) +
+            " failures=" + std::to_string(with_failures);
+        EXPECT_EQ(par_none.pivot, seq_none.pivot) << where;
+        EXPECT_EQ(par_none.rounds, seq_none.rounds) << where;
+        EXPECT_EQ(par_none.found, seq_none.found) << where;
+        EXPECT_EQ(par_one.pivot, seq_one.pivot) << where;
+        EXPECT_EQ(par_one.rounds, seq_one.rounds) << where;
+        EXPECT_EQ(par_one.found, seq_one.found) << where;
+        EXPECT_EQ(engine.metrics(), net.metrics()) << where;
+      }
     }
   }
 }
