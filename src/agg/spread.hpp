@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <functional>
@@ -29,6 +30,7 @@
 #include "sim/executor.hpp"
 #include "sim/key.hpp"
 #include "sim/network.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/require.hpp"
 
 namespace gq {
@@ -94,6 +96,7 @@ template <typename T, typename Join>
 GenericSpreadResult<T> spread_best(Network& net, std::vector<T> cur,
                                    Join join, std::uint64_t bits_per_message,
                                    std::uint64_t max_rounds = 0) {
+  GQ_SPAN("agg/spread");
   const std::uint32_t n = net.size();
   GQ_REQUIRE(cur.size() == n, "one payload per node required");
   if (max_rounds == 0) max_rounds = spread_rounds_cap(n, net.failures());
@@ -125,10 +128,24 @@ GenericSpreadResult<T> spread_best(Network& net, std::vector<T> cur,
   return out;
 }
 
+namespace spread_detail {
+
+// NaN has no place in Key's order, so the spreads below reject it before
+// any round, on both executors (the Engine's interned lanes could not rank
+// it, and the Network's joins would spread it under an unordered compare).
+[[nodiscard]] inline bool any_nan(std::span<const Key> keys) noexcept {
+  return std::any_of(keys.begin(), keys.end(),
+                     [](const Key& k) { return std::isnan(k.value); });
+}
+
+}  // namespace spread_detail
+
 // Max-spreading: every node ends up with max(init) w.h.p.
 template <std::derived_from<ExecutorCore> Exec>
 [[nodiscard]] SpreadResult spread_max(Exec& exec, std::span<const Key> init,
                                       std::uint64_t max_rounds = 0) {
+  GQ_REQUIRE(!spread_detail::any_nan(init),
+             "spread payloads must not carry NaN values");
   return spread_best(exec, std::vector<Key>(init.begin(), init.end()),
                      KeepBetter<std::less<Key>>{}, key_bits(exec.size()),
                      max_rounds);
@@ -138,6 +155,8 @@ template <std::derived_from<ExecutorCore> Exec>
 template <std::derived_from<ExecutorCore> Exec>
 [[nodiscard]] SpreadResult spread_min(Exec& exec, std::span<const Key> init,
                                       std::uint64_t max_rounds = 0) {
+  GQ_REQUIRE(!spread_detail::any_nan(init),
+             "spread payloads must not carry NaN values");
   return spread_best(exec, std::vector<Key>(init.begin(), init.end()),
                      KeepBetter<std::greater<Key>>{}, key_bits(exec.size()),
                      max_rounds);
@@ -152,6 +171,9 @@ template <std::derived_from<ExecutorCore> Exec>
 [[nodiscard]] GenericSpreadResult<MinMaxKeys> spread_min_max(
     Exec& exec, std::vector<Key> min_init, std::vector<Key> max_init,
     std::uint64_t max_rounds = 0) {
+  GQ_REQUIRE(!spread_detail::any_nan(min_init) &&
+                 !spread_detail::any_nan(max_init),
+             "spread payloads must not carry NaN values");
   return spread_best(
       exec, min_max_payloads(std::move(min_init), std::move(max_init)),
       MinMaxJoin{}, 2 * key_bits(exec.size()), max_rounds);

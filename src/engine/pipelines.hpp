@@ -60,6 +60,9 @@ namespace gq {
 
 // ---- round kernels and the token split ------------------------------------
 
+// The round kernels and the token split are defined in
+// engine/collectives.cpp, the pipelines in engine/pipelines.cpp.
+
 // The Engine's push-sum round kernel, bit-identical to the Network's in
 // agg/push_sum.hpp; the counting templates of agg/rank_count.hpp call it.
 // Instantiated for D = 1 and D = 3.
@@ -70,8 +73,12 @@ template <std::size_t D>
 
 // The Engine's spread round kernel, bit-identical to the Network's in
 // agg/spread.hpp; the spreads there and core/pivot.hpp's pivot sampling
-// call it.  Instantiated for the payloads those use: KeepBetter over
-// std::less<Key> and std::greater<Key>, MinMaxJoin, and KeepBetter over
+// call it.  Key and MinMaxKeys payloads run on interned ranks: one
+// KeyInterner table over every payload lane (sim/key_intern.hpp), a 4-byte
+// rank per lane and node in the rounds, table[rank] written back into the
+// result.  The pivot's PriorityKey payloads run as they are.  Instantiated
+// for the payloads those use: KeepBetter over std::less<Key> and
+// std::greater<Key>, MinMaxJoin, and KeepBetter over
 // pivot_detail::PriorityLess.
 template <typename T, typename Join>
 [[nodiscard]] GenericSpreadResult<T> spread_best(

@@ -9,7 +9,7 @@
 // and it is what kept the full quantile pipelines off the engine.  Push-sum
 // uses it only on multi-shard engines: with one shard the single send task
 // already walks the senders in ascending order, so the counting kernel
-// folds in place (engine/pipelines.cpp).
+// folds in place (engine/collectives.cpp).
 //
 // Scatter makes the pattern deterministic in two phases:
 //

@@ -29,10 +29,14 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::run_raw(std::size_t num_tasks, RawTask task, void* ctx) {
   if (num_tasks == 0) return;
-  if (workers_.empty()) {
-    // Single-threaded pools execute inline; a throwing task propagates
-    // directly, exactly like the sequential loop it replaces.  The whole
-    // batch is one "chunk" of worker 0 for utilization purposes.
+  if (workers_.empty() || num_tasks == 1) {
+    // Single-threaded pools, and one-task batches at any thread count,
+    // execute inline: waking a worker for a lone task buys no parallelism,
+    // only a publish, a notify and a wait on done_cv_ (and, when the worker
+    // claims the task first, a caller asleep while it runs).  A throwing
+    // task propagates directly, exactly like the sequential loop it
+    // replaces.  The whole batch is one "chunk" of worker 0 for utilization
+    // purposes.
     const std::uint64_t t0 =
         telemetry::enabled() ? telemetry::now_ns() : 0;
     for (std::size_t i = 0; i < num_tasks; ++i) task(ctx, i);

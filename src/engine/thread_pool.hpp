@@ -23,7 +23,9 @@
 // The pool is created once and reused for every round, so the per-round
 // dispatch cost is two condition-variable hops, not thread creation.  With
 // one thread the pool spawns no workers and run() executes inline, making
-// the single-threaded engine an ordinary sequential loop.
+// the single-threaded engine an ordinary sequential loop.  A one-task batch
+// runs inline on the calling thread at any thread count, so a one-shard
+// engine's parallel sections never wake the workers.
 #pragma once
 
 #include <atomic>

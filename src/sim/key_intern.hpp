@@ -1,13 +1,15 @@
 // Order-preserving key interning: the compact-lane representation behind
-// the engine's tournament kernels.
+// the engine's tournament kernels (engine/kernels.cpp) and its Key and
+// MinMaxKeys spreads (engine/collectives.cpp, one table over both lanes);
+// the service's sessions extend and adopt tables (src/service/).
 //
-// A tournament/median-dynamics round never creates key values — it only
-// copies and compares them — so the whole evolving state is a multiset over
-// the distinct keys of the *initial* state.  Interning builds the sorted
-// dictionary of those distinct keys once and replaces every state entry by
-// its 32-bit rank.  Because the map rank -> key is strictly increasing,
-// rank comparisons decide exactly as key comparisons do: min / max /
-// median-of-three / median-of-K over ranks commit the same values the
+// A tournament, median-dynamics or spread round never creates key values —
+// it only copies and compares them — so the whole evolving state is a
+// multiset over the distinct keys of the *initial* state.  Interning builds
+// the sorted dictionary of those distinct keys once and replaces every
+// state entry by its 32-bit rank.  Because the map rank -> key is strictly
+// increasing, rank comparisons decide exactly as key comparisons do: min /
+// max / median-of-three / median-of-K over ranks commit the same values the
 // Key-typed kernels would, bit for bit.  What changes is purely the memory
 // traffic: a random peer gather touches a 4-byte lane entry instead of a
 // Key-sized record, so one cache line now serves 16 peers instead of 2 —
@@ -70,8 +72,12 @@ class KeyInterner {
   // Builds the dictionary for `keys` and writes ranks[v] = the rank of
   // keys[v] in the sorted distinct-key table.  One radix sort per interned
   // state, amortised over the dozens of gather rounds the compact lanes
-  // then serve.  Keys must not carry NaN values.
-  void intern(std::span<const Key> keys, std::span<std::uint32_t> ranks) {
+  // then serve.  Keys must not carry NaN values.  `keys` is any sequence
+  // with size() and an operator[] returning const Key&: a span or vector,
+  // or a view that interns several payload lanes into one table without
+  // copying them (the spread kernel's MinMaxKeys lanes).
+  template <typename Keys>
+  void intern(const Keys& keys, std::span<std::uint32_t> ranks) {
     GQ_REQUIRE(keys.size() == ranks.size(),
                "one rank slot per interned key required");
     GQ_REQUIRE(keys.size() <= std::numeric_limits<std::uint32_t>::max(),

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -114,9 +116,9 @@ TEST(ThreadPool, ChunkedClaimingCoversManyTasks) {
   }
 }
 
-// Single-task batches exercise the opposite edge: one chunk, claimed by
-// whichever thread gets there first, everyone else must pass through the
-// barrier without touching anything.
+// Single-task batches exercise the opposite edge: they run inline on the
+// calling thread (SingleTaskBatchRunsOnTheCallingThread below), and the
+// workers sleeping through them must not disturb a later batch.
 TEST(ThreadPool, SingleTaskBatches) {
   ThreadPool pool(8);
   std::atomic<int> ran{0};
@@ -127,6 +129,47 @@ TEST(ThreadPool, SingleTaskBatches) {
     });
   }
   EXPECT_EQ(ran.load(), 200);
+}
+
+// A one-task batch runs inline on the calling thread at any thread count,
+// so a one-shard engine's parallel sections never wake a worker.  Wide
+// batches interleaved with it still run every index exactly once, and an
+// exception from the inline task propagates and leaves the pool usable.
+TEST(ThreadPool, SingleTaskBatchRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (unsigned threads : {2u, 8u}) {
+    ThreadPool pool(threads);
+    constexpr std::size_t kWide = 257;
+    std::vector<std::atomic<int>> hits(kWide);
+    for (int rep = 0; rep < 50; ++rep) {
+      std::thread::id ran_on;
+      pool.run(1, [&](std::size_t i) {
+        EXPECT_EQ(i, 0u);
+        ran_on = std::this_thread::get_id();
+      });
+      EXPECT_EQ(ran_on, caller) << "threads=" << threads << " rep=" << rep;
+
+      for (auto& h : hits) h.store(0);
+      pool.run(kWide, [&](std::size_t i) { ++hits[i]; });
+      for (std::size_t i = 0; i < kWide; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "threads=" << threads << " rep=" << rep << " i=" << i;
+      }
+    }
+
+    EXPECT_THROW(pool.run(1,
+                          [](std::size_t) {
+                            throw std::runtime_error("inline task failed");
+                          }),
+                 std::runtime_error)
+        << "threads=" << threads;
+    std::thread::id ran_on;
+    pool.run(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on, caller) << "threads=" << threads;
+    std::atomic<std::size_t> ran{0};
+    pool.run(kWide, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), kWide) << "threads=" << threads;
+  }
 }
 
 // Exceptions under contention: several tasks of a large batch throw
@@ -462,6 +505,158 @@ TEST(EngineCollectives, SpreadMinMaxMatchesCore) {
       EXPECT_EQ(par.converged, seq.converged) << where;
       EXPECT_EQ(engine.metrics(), net.metrics()) << where;
     }
+  }
+}
+
+// The payload shapes Algorithm 3 actually spreads, which distinct
+// make_keys inputs never produce: lanes of Step-6 and bracket() sentinels,
+// one valued node, genuine infinities beside the sentinels, heavy
+// duplication, an all-equal input and a two-node network.
+struct SpreadLanes {
+  std::string name;
+  std::vector<Key> lo;  // spread_min's lane and spread_min_max's min lane
+  std::vector<Key> hi;  // spread_max's lane and spread_min_max's max lane
+};
+
+std::vector<SpreadLanes> spread_payload_shapes() {
+  constexpr std::uint32_t kN = 2000;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto keys =
+      make_keys(generate_values(Distribution::kGaussian, kN, 16));
+  std::vector<SpreadLanes> cases;
+
+  // Step 6 and bracket(): most nodes hold Key::infinite() in the min lane
+  // and Key::neg_infinite() in the max lane.
+  SpreadLanes sparse{"mostly_sentinels", std::vector<Key>(kN, Key::infinite()),
+                     std::vector<Key>(kN, Key::neg_infinite())};
+  for (std::uint32_t v = 0; v < kN; v += 37) sparse.lo[v] = keys[v];
+  for (std::uint32_t v = 5; v < kN; v += 41) sparse.hi[v] = keys[v];
+  cases.push_back(sparse);
+
+  // One valued node per lane: a Key::neg_infinite() max lane but for one
+  // node.
+  SpreadLanes single{"one_source", std::vector<Key>(kN, Key::infinite()),
+                     std::vector<Key>(kN, Key::neg_infinite())};
+  single.lo[kN - 1] = keys[kN - 1];
+  single.hi[3] = keys[3];
+  cases.push_back(single);
+
+  // Genuine +-inf values beside the sentinels: a real +inf sorts below
+  // Key::infinite(), and node 0's -inf equals Key::neg_infinite().
+  SpreadLanes inf{"genuine_infinities", keys, keys};
+  for (std::uint32_t v = 0; v < kN; ++v) {
+    if (v % 7 == 0) inf.lo[v] = Key{-kInf, v, 0};
+    if (v % 5 == 1) inf.lo[v] = Key{kInf, v, 0};
+    if (v % 11 == 2) inf.lo[v] = Key::infinite();
+    if (v % 7 == 0) inf.hi[v] = Key{kInf, v, 0};
+    if (v % 5 == 1) inf.hi[v] = Key{-kInf, v, 0};
+    if (v % 3 == 2) inf.hi[v] = Key::neg_infinite();
+  }
+  cases.push_back(inf);
+
+  // Heavy duplication: six distinct keys over all nodes.  Equal values
+  // carry different ids, and -0.0 and +0.0 interleave in id order.
+  SpreadLanes dup{"duplicates", std::vector<Key>(kN), std::vector<Key>(kN)};
+  for (std::uint32_t v = 0; v < kN; ++v) {
+    const auto key_of = [](std::uint32_t i) {
+      const double value = i % 3 == 0 ? -0.0 : i % 3 == 1 ? 0.0 : 2.5;
+      return Key{value, i % 3 + 3 * (i % 2), 0};
+    };
+    dup.lo[v] = key_of(v);
+    dup.hi[v] = key_of(v + 1);
+  }
+  cases.push_back(dup);
+
+  // Every node already holds the target: converged at 0 rounds.
+  cases.push_back(SpreadLanes{"all_equal", std::vector<Key>(kN, keys[7]),
+                              std::vector<Key>(kN, keys[9])});
+
+  cases.push_back(SpreadLanes{"two_nodes", {keys[1], Key::infinite()},
+                              {Key::neg_infinite(), keys[0]}});
+  return cases;
+}
+
+// Each shape, uncapped and capped at 3 rounds, on 192-node shards and on
+// one shard, at 1/2/8 threads, for every fault input: the Engine's rank
+// lanes equal the Network's Key loop in values, rounds, converged and
+// Metrics.
+TEST(EngineCollectives, SpreadPayloadShapesMatchCore) {
+  constexpr std::uint64_t kSeed = 307;
+  for (const SpreadLanes& c : spread_payload_shapes()) {
+    const auto n = static_cast<std::uint32_t>(c.lo.size());
+    for (const Faults faults : kFaultInputs) {
+      const FailureModel fm = model_for(faults, 0.3);
+      for (const std::uint64_t cap : {std::uint64_t{0}, std::uint64_t{3}}) {
+        Network net(n, kSeed, fm);
+        const SpreadResult seq_min = spread_min(net, c.lo, cap);
+        const SpreadResult seq_max = spread_max(net, c.hi, cap);
+        const auto seq_both = spread_min_max(net, c.lo, c.hi, cap);
+        if (c.name == "all_equal") {
+          ASSERT_TRUE(seq_min.converged && seq_max.converged &&
+                      seq_both.converged);
+          ASSERT_EQ(seq_min.rounds + seq_max.rounds + seq_both.rounds, 0u);
+        }
+
+        for (const std::uint32_t shard_size :
+             {std::uint32_t{192}, EngineConfig{}.shard_size}) {
+          for (unsigned threads : kThreadCounts) {
+            Engine engine(n, kSeed, fm,
+                          EngineConfig{.threads = threads,
+                                       .shard_size = shard_size});
+            const SpreadResult par_min = spread_min(engine, c.lo, cap);
+            const SpreadResult par_max = spread_max(engine, c.hi, cap);
+            const auto par_both = spread_min_max(engine, c.lo, c.hi, cap);
+            const std::string where =
+                c.name + " cap=" + std::to_string(cap) +
+                " faults=" + std::to_string(static_cast<int>(faults)) +
+                " shard_size=" + std::to_string(shard_size) +
+                " threads=" + std::to_string(threads);
+            EXPECT_EQ(par_min.values, seq_min.values) << where;
+            EXPECT_EQ(par_min.rounds, seq_min.rounds) << where;
+            EXPECT_EQ(par_min.converged, seq_min.converged) << where;
+            EXPECT_EQ(par_max.values, seq_max.values) << where;
+            EXPECT_EQ(par_max.rounds, seq_max.rounds) << where;
+            EXPECT_EQ(par_max.converged, seq_max.converged) << where;
+            EXPECT_EQ(par_both.values, seq_both.values) << where;
+            EXPECT_EQ(par_both.rounds, seq_both.rounds) << where;
+            EXPECT_EQ(par_both.converged, seq_both.converged) << where;
+            EXPECT_EQ(engine.metrics(), net.metrics()) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+// NaN has no place in Key's order: every spread rejects it before any
+// round, on both executors, and bills nothing.
+TEST(EngineCollectives, SpreadsRejectNaNOnBothExecutors) {
+  constexpr std::uint32_t kN = 400;
+  constexpr std::uint64_t kSeed = 309;
+  const auto keys =
+      make_keys(generate_values(Distribution::kUniformReal, kN, 22));
+  std::vector<Key> with_nan = keys;
+  with_nan[kN / 2].value = std::numeric_limits<double>::quiet_NaN();
+
+  const auto expect_rejected = [&](auto& exec, const std::string& where) {
+    const Metrics before = exec.metrics();
+    EXPECT_THROW((void)spread_min(exec, with_nan), std::invalid_argument)
+        << where;
+    EXPECT_THROW((void)spread_max(exec, with_nan), std::invalid_argument)
+        << where;
+    EXPECT_THROW((void)spread_min_max(exec, with_nan, keys),
+                 std::invalid_argument)
+        << where;
+    EXPECT_THROW((void)spread_min_max(exec, keys, with_nan),
+                 std::invalid_argument)
+        << where;
+    EXPECT_EQ(exec.metrics(), before) << where;
+  };
+  Network net(kN, kSeed);
+  expect_rejected(net, "network");
+  for (unsigned threads : kThreadCounts) {
+    Engine engine(kN, kSeed, FailureModel{}, config_for(threads));
+    expect_rejected(engine, "threads=" + std::to_string(threads));
   }
 }
 

@@ -239,6 +239,7 @@ TEST_F(Telemetry, EnabledRecordsBalancedResolvableSpans) {
   EXPECT_TRUE(seen.count("approx/three_tournament"));
   EXPECT_TRUE(seen.count("robust/two_iteration"));
   EXPECT_TRUE(seen.count("agg/push_sum"));
+  EXPECT_TRUE(seen.count("agg/spread"));
 }
 
 TEST_F(Telemetry, SpanInterningIsIdempotent) {
