@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,18 +39,30 @@ namespace gq {
 // into the round kernel so the omniscient all-agree check costs no extra
 // parallel section.
 //
-// Key and MinMaxKeys payloads run that loop on interned ranks, as the
-// tournament kernels do (sim/key_intern.hpp): one intern maps every
-// payload lane to its rank in the sorted table of the lanes' distinct
-// keys, the rounds join 4-byte ranks (an 8-byte rank pair for MinMaxKeys)
-// with branch-free min/max, and the result writes table[rank] back.  Rank
-// order is key order and equal keys share a rank, so the target, every
-// join and every done flag decide as on keys: rounds, Metrics and the
-// values of a capped run are the Key loop's.  What changes is a round's
-// random gather, 4 bytes instead of a 24-byte Key (48 for MinMaxKeys),
-// and joins that no longer branch on random data.  Both lanes of a
-// MinMaxKeys payload share one table, since they compare in the same key
-// order.  The pivot's PriorityKey payloads run the loop on themselves.
+// On a one-shard engine, Key and MinMaxKeys payloads run that loop on
+// interned ranks, as the tournament kernels do (sim/key_intern.hpp): one
+// intern maps every payload lane to its rank in the sorted table of the
+// lanes' distinct keys, the rounds join 4-byte ranks (an 8-byte rank pair
+// for MinMaxKeys) with branch-free min/max, and the result writes
+// table[rank] back.  Rank order is key order and equal keys share a rank,
+// so the target, every join and every done flag decide as on keys:
+// rounds, Metrics and the values of a capped run are the Key loop's.  What
+// changes is a round's random gather, 4 bytes instead of a 24-byte Key (48
+// for MinMaxKeys), and joins that no longer branch on random data.  Both
+// lanes of a MinMaxKeys payload share one table, since they compare in the
+// same key order.
+//
+// The intern is one serial radix sort over every payload lane (n keys, 2n
+// for MinMaxKeys), and its lanes and slots stay pooled for the Engine's
+// life (about 140 bytes per node for MinMaxKeys).  On one shard every
+// round section is a single task too, so the sort competes with nothing
+// parallel: on a 4-vCPU VM perfbench exact_16k_t2 (n = 2^14, one shard,
+// threads = 2) read op_min_ms 197 -> 170 ms, faster in 10 of 10 pairs.
+// With several shards the rounds spread over the pool while the sort does
+// not: exact_256k_t4 (n = 2^18, 16 shards, threads = 4) read op_min_ms
+// 1677 -> 1946 ms, faster in 1 of 8 pairs, and peak RSS 176 -> 199 MB,
+// with spread_min alone 38 -> 52-58 ms.  So multi-shard engines, and the
+// pivot's PriorityKey payloads, run the loop on the payloads themselves.
 namespace {
 
 // MinMaxKeys with each lane's key replaced by its rank.
@@ -97,7 +110,8 @@ struct MinMaxLanes {
 };
 
 // Engine-pooled working state (Engine::scratch): repeated spreads reuse
-// their lanes instead of allocating n-sized buffers per call.
+// their lanes instead of allocating n-sized buffers per call.  The
+// interner and the rank lanes serve one-shard engines only.
 struct SpreadScratch {
   KeyInterner interner;
   FirstTouchBuffer<std::uint32_t> ranks;  // Key: lanes A and B; MinMaxKeys:
@@ -190,13 +204,12 @@ SpreadRun<T> spread_rounds(Engine& engine, SpreadScratch& s, std::span<T> cur,
   return out;
 }
 
-// Any other payload (the pivot's PriorityKey): the loop runs on `cur`
-// itself.
+// The loop on the payloads themselves.
 template <typename T, typename Join>
-GenericSpreadResult<T> spread_lanes(Engine& engine, SpreadScratch& s,
-                                    std::vector<T> cur, Join join,
-                                    std::uint64_t bits_per_message,
-                                    std::uint64_t max_rounds) {
+GenericSpreadResult<T> spread_payloads(Engine& engine, SpreadScratch& s,
+                                       std::vector<T> cur, Join join,
+                                       std::uint64_t bits_per_message,
+                                       std::uint64_t max_rounds) {
   std::vector<T> next(cur.size());
   const SpreadRun<T> run =
       spread_rounds(engine, s, std::span<T>(cur), std::span<T>(next), join,
@@ -205,9 +218,9 @@ GenericSpreadResult<T> spread_lanes(Engine& engine, SpreadScratch& s,
   return {std::move(cur), run.rounds, run.converged};
 }
 
-// Key payloads: one rank lane.
+// Key payloads on one shard: one rank lane.
 template <typename Join>
-GenericSpreadResult<Key> spread_lanes(Engine& engine, SpreadScratch& s,
+GenericSpreadResult<Key> spread_ranks(Engine& engine, SpreadScratch& s,
                                       std::vector<Key> cur, Join join,
                                       std::uint64_t bits_per_message,
                                       std::uint64_t max_rounds) {
@@ -228,9 +241,9 @@ GenericSpreadResult<Key> spread_lanes(Engine& engine, SpreadScratch& s,
   return {std::move(cur), run.rounds, run.converged};
 }
 
-// MinMaxKeys payloads: one rank-pair lane, both lanes interned into one
-// table.
-GenericSpreadResult<MinMaxKeys> spread_lanes(Engine& engine, SpreadScratch& s,
+// MinMaxKeys payloads on one shard: one rank-pair lane, both lanes
+// interned into one table.
+GenericSpreadResult<MinMaxKeys> spread_ranks(Engine& engine, SpreadScratch& s,
                                              std::vector<MinMaxKeys> cur,
                                              MinMaxJoin,
                                              std::uint64_t bits_per_message,
@@ -275,8 +288,15 @@ GenericSpreadResult<T> spread_best(Engine& engine, std::vector<T> cur,
   if (max_rounds == 0) {
     max_rounds = spread_rounds_cap(n, engine.failures());
   }
-  return spread_lanes(engine, engine.scratch<SpreadScratch>(), std::move(cur),
-                      join, bits_per_message, max_rounds);
+  SpreadScratch& s = engine.scratch<SpreadScratch>();
+  if constexpr (std::is_same_v<T, Key> || std::is_same_v<T, MinMaxKeys>) {
+    if (engine.num_shards() == 1) {
+      return spread_ranks(engine, s, std::move(cur), join, bits_per_message,
+                          max_rounds);
+    }
+  }
+  return spread_payloads(engine, s, std::move(cur), join, bits_per_message,
+                         max_rounds);
 }
 
 template GenericSpreadResult<Key> spread_best(Engine&, std::vector<Key>,

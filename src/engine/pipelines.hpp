@@ -73,12 +73,14 @@ template <std::size_t D>
 
 // The Engine's spread round kernel, bit-identical to the Network's in
 // agg/spread.hpp; the spreads there and core/pivot.hpp's pivot sampling
-// call it.  Key and MinMaxKeys payloads run on interned ranks: one
-// KeyInterner table over every payload lane (sim/key_intern.hpp), a 4-byte
-// rank per lane and node in the rounds, table[rank] written back into the
-// result.  The pivot's PriorityKey payloads run as they are.  Instantiated
-// for the payloads those use: KeepBetter over std::less<Key> and
-// std::greater<Key>, MinMaxJoin, and KeepBetter over
+// call it.  On a one-shard engine Key and MinMaxKeys payloads run on
+// interned ranks: one KeyInterner table over every payload lane
+// (sim/key_intern.hpp), a 4-byte rank per lane and node in the rounds,
+// table[rank] written back into the result.  On multi-shard engines, where
+// that serial intern outweighs the parallel rank rounds, and for the
+// pivot's PriorityKey payloads, the payloads run as they are.
+// Instantiated for the payloads those use: KeepBetter over std::less<Key>
+// and std::greater<Key>, MinMaxJoin, and KeepBetter over
 // pivot_detail::PriorityLess.
 template <typename T, typename Join>
 [[nodiscard]] GenericSpreadResult<T> spread_best(

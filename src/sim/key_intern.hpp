@@ -1,7 +1,8 @@
 // Order-preserving key interning: the compact-lane representation behind
 // the engine's tournament kernels (engine/kernels.cpp) and its Key and
-// MinMaxKeys spreads (engine/collectives.cpp, one table over both lanes);
-// the service's sessions extend and adopt tables (src/service/).
+// MinMaxKeys spreads on one-shard engines (engine/collectives.cpp, one
+// table over both lanes); the service's sessions extend and adopt tables
+// (src/service/).
 //
 // A tournament, median-dynamics or spread round never creates key values —
 // it only copies and compares them — so the whole evolving state is a
