@@ -31,7 +31,8 @@ constexpr std::uint32_t kPrefetchAhead = 16;
 // a 4-byte lane entry (16 per cache line) instead of a Key-sized record,
 // which at n = 10^6..10^7 is the difference between latency-bound misses
 // and a prefetchable stream, and that the final K-sample median runs as a
-// branch-free comparator network over ranks (rank_median).
+// branch-free comparator network over ranks, one pass per block of nodes
+// on vector lanes (block_medians).
 //
 // The session fields let consecutive kernels of one pipeline (two- then
 // three-tournament; robust two then robust three) skip the re-intern:
@@ -122,7 +123,7 @@ void lane_settle(LaneScratch& s, std::span<const std::uint32_t> cur) {
 // Engine-pooled per-round peer-pick lanes (uninitialized first-touch
 // storage: each lane slot is written by its owning shard every round before
 // any read).  `wide` backs the per-shard pick+sample slices of the fused
-// K-sampling step when K exceeds the stack buffer.
+// K-sampling step when K exceeds the median networks' 32 wires.
 struct PickScratch {
   FirstTouchBuffer<std::uint32_t> p0, p1, p2;
   std::vector<std::uint32_t> wide;
@@ -515,34 +516,26 @@ void final_sample(Engine& engine, MultiLaneScratch& s,
   // advances K times up front, and each node derives the per-round streams
   // directly — the same (seed, round, v) derivation the per-round kernel
   // would use, so draws and Metrics are bit-identical to K per-round sweeps
-  // while the K-pass sample matrix disappears entirely.  Each node's K
-  // picks are drawn (and their rows prefetched) before its q per-lane
-  // medians fold, so the draw ALU covers the miss latency.
+  // while the K-pass sample matrix disappears entirely.  Nodes go in blocks
+  // of kMedianBlock: the block's K picks per node are drawn (and their
+  // rows prefetched) first, so the draw ALU covers the miss latency; then
+  // each lane gathers the block's samples and one comparator-network pass
+  // (block_medians) yields all its medians.  A shard's last block may be
+  // partial.  K above the networks' 32 wires takes nth_element per node
+  // on per-shard pick and sample slices of the pooled wide lane, so even
+  // that path allocates nothing in steady state.
   const std::uint64_t first_sample_round = engine.round() + 1;
   engine.advance_rounds(k_samples);
   outputs.resize(lane_count<Q>(s));
   for (std::vector<Key>& lane : outputs) lane.resize(n);
-  constexpr std::uint32_t kMaxStackSamples = 64;
   const std::size_t shards = engine.num_shards();
   const auto wide_k = static_cast<std::size_t>(k_samples);
-  if (k_samples > kMaxStackSamples) {
-    // Oversized K: per-shard pick and sample slices come from the pooled
-    // wide lane, so even this path allocates nothing in steady state.
-    picks.ensure_wide(2 * shards * wide_k);
-  }
+  const bool blocked = k_samples <= kMaxNetworkSamples;
+  if (!blocked) picks.ensure_wide(2 * shards * wide_k);
   engine.parallel_shards(
       [&](std::uint32_t begin, std::uint32_t end, Metrics& local) {
         const std::uint32_t q = lane_count<Q>(s);
-        std::uint32_t stack_picks[kMaxStackSamples];
-        std::uint32_t stack_samples[kMaxStackSamples];
-        std::uint32_t* pick = stack_picks;
-        std::uint32_t* samp = stack_samples;
-        if (k_samples > kMaxStackSamples) {
-          const std::size_t shard = engine.shard_of(begin);
-          pick = picks.wide.data() + shard * wide_k;
-          samp = picks.wide.data() + (shards + shard) * wide_k;
-        }
-        for (std::uint32_t v = begin; v < end; ++v) {
+        const auto draw = [&](std::uint32_t v, std::uint32_t* pick) {
           for (std::uint32_t j = 0; j < k_samples; ++j) {
             SplitMix64 stream = streams::node_stream(
                 engine.seed(), first_sample_round + j, v);
@@ -550,12 +543,43 @@ void final_sample(Engine& engine, MultiLaneScratch& s,
             prefetch_lane_row(
                 cur + static_cast<std::size_t>(pick[j]) * q, q);
           }
-          for (std::uint32_t l = 0; l < q; ++l) {
-            for (std::uint32_t j = 0; j < k_samples; ++j) {
-              samp[j] = cur[static_cast<std::size_t>(pick[j]) * q + l];
+        };
+        if (blocked) {
+          std::uint32_t pick[kMedianBlock * kMaxNetworkSamples];
+          std::uint32_t median[kMedianBlock];
+          for (std::uint32_t b0 = begin; b0 < end; b0 += kMedianBlock) {
+            const std::uint32_t nodes = std::min(kMedianBlock, end - b0);
+            for (std::uint32_t b = 0; b < nodes; ++b) {
+              draw(b0 + b, pick + b * k_samples);
             }
-            outputs[l][v] =
-                lanes.interner.key_at(rank_median(samp, k_samples));
+            for (std::uint32_t l = 0; l < q; ++l) {
+              const std::uint32_t* const lane = cur + l;
+              block_medians<kMedianBlock>(
+                  k_samples, nodes,
+                  [&](std::uint32_t b, std::uint32_t j) {
+                    return lane[static_cast<std::size_t>(
+                                    pick[b * k_samples + j]) * q];
+                  },
+                  median);
+              for (std::uint32_t b = 0; b < nodes; ++b) {
+                outputs[l][b0 + b] = lanes.interner.key_at(median[b]);
+              }
+            }
+          }
+        } else {
+          const std::size_t shard = engine.shard_of(begin);
+          std::uint32_t* const pick = picks.wide.data() + shard * wide_k;
+          std::uint32_t* const samp =
+              picks.wide.data() + (shards + shard) * wide_k;
+          for (std::uint32_t v = begin; v < end; ++v) {
+            draw(v, pick);
+            for (std::uint32_t l = 0; l < q; ++l) {
+              for (std::uint32_t j = 0; j < k_samples; ++j) {
+                samp[j] = cur[static_cast<std::size_t>(pick[j]) * q + l];
+              }
+              outputs[l][v] =
+                  lanes.interner.key_at(rank_median(samp, k_samples));
+            }
           }
         }
         local.record_messages(

@@ -279,10 +279,20 @@ class KeyInterner {
 // median comes from a fixed comparator network instead of nth_element:
 // Batcher's odd-even merge sort on W = 16 or 32 wires, cut down to the
 // comparators the middle wire depends on, fully unrolled into branch-free
-// min/max pairs.  Inputs are padded to W around the samples — zeros below,
-// all-ones above, as many of each as put the samples' median on the middle
-// wire — and since padding only adds values at the extremes, the middle
-// wire then carries exactly the element nth_element would place at k / 2.
+// min/max pairs.  Inputs are padded to W around the samples — the lowest
+// value below, the highest above, as many of each as put the samples'
+// median on the middle wire — and since padding only adds values at the
+// extremes, the middle wire then carries exactly the element nth_element
+// would place at k / 2.
+//
+// One network pass serves a block of B nodes: wire i of node b sits at
+// w[i][b], so each comparator is one min/max over B adjacent lanes, which
+// the compiler emits as vector compares and blends.  Baseline x86-64
+// (SSE2) compares 32-bit lanes only as signed integers, so a lane holds
+// its rank XOR 2^31 as an int32_t: that bias maps unsigned order onto
+// signed order over the whole uint32_t range, and the pads become
+// INT32_MIN and INT32_MAX.  The kernels' final sampling evaluates blocks
+// of kMedianBlock nodes; rank_median is the one-node case.
 namespace rank_median_detail {
 
 struct Comparator {
@@ -332,44 +342,88 @@ constexpr Network median_network(std::size_t width) {
 template <std::size_t W>
 inline constexpr Network kMedianNetwork = median_network(W);
 
+inline constexpr std::uint32_t kBias = std::uint32_t{1} << 31;
+
 // Value selects rather than std::min/std::max: GCC lowers the
 // reference-returning pair to a conditional branch, which mispredicts on
-// every other comparator of random ranks; the selects become cmov pairs.
-inline void compare_exchange(std::uint32_t& lo, std::uint32_t& hi) noexcept {
-  const std::uint32_t a = lo;
-  const std::uint32_t b = hi;
-  lo = b < a ? b : a;
-  hi = b < a ? a : b;
+// every other comparator of random ranks; the selects become cmov pairs
+// for one lane and compare-and-blend vectors for a block.
+template <std::size_t B>
+inline void compare_exchange(std::int32_t (&lo)[B],
+                             std::int32_t (&hi)[B]) noexcept {
+  for (std::size_t b = 0; b < B; ++b) {
+    const std::int32_t x = lo[b];
+    const std::int32_t y = hi[b];
+    lo[b] = y < x ? y : x;
+    hi[b] = y < x ? x : y;
+  }
 }
 
-template <std::size_t W, std::size_t... C>
-inline void apply_network(std::uint32_t* w, std::index_sequence<C...>) {
+template <std::size_t W, std::size_t B, std::size_t... C>
+inline void apply_network(std::int32_t (&w)[W][B], std::index_sequence<C...>) {
   constexpr const Network& net = kMedianNetwork<W>;
   (compare_exchange(w[net.cmp[C].lo], w[net.cmp[C].hi]), ...);
 }
 
-template <std::size_t W>
-inline std::uint32_t network_median(const std::uint32_t* samp,
-                                    std::uint32_t k) {
-  const std::uint32_t below = W / 2 - k / 2;  // zero pads before the samples
-  std::uint32_t w[W];
-  for (std::uint32_t i = 0; i < W; ++i) {
-    w[i] = i < below ? 0
-           : i < below + k ? samp[i - below]
-                           : std::numeric_limits<std::uint32_t>::max();
+template <std::size_t W, std::size_t B, typename Sample>
+inline void network_medians(std::uint32_t k, std::uint32_t nodes,
+                            const Sample& sample, std::uint32_t* out) {
+  constexpr std::int32_t kLow = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kHigh = std::numeric_limits<std::int32_t>::max();
+  const std::uint32_t below = W / 2 - k / 2;  // low pads before the samples
+  std::int32_t w[W][B];
+  for (std::uint32_t i = 0; i < below; ++i) {
+    for (std::int32_t& x : w[i]) x = kLow;
+  }
+  for (std::uint32_t j = 0; j < k; ++j) {
+    std::int32_t(&row)[B] = w[below + j];
+    for (std::uint32_t b = 0; b < nodes; ++b) {
+      row[b] = static_cast<std::int32_t>(sample(b, j) ^ kBias);
+    }
+    for (std::uint32_t b = nodes; b < B; ++b) row[b] = 0;  // unused lanes
+  }
+  for (std::uint32_t i = below + k; i < W; ++i) {
+    for (std::int32_t& x : w[i]) x = kHigh;
   }
   apply_network<W>(w, std::make_index_sequence<kMedianNetwork<W>.size>{});
-  return w[W / 2];
+  for (std::uint32_t b = 0; b < nodes; ++b) {
+    out[b] = static_cast<std::uint32_t>(w[W / 2][b]) ^ kBias;
+  }
 }
 
 }  // namespace rank_median_detail
+
+// The largest K the comparator networks serve, and the node block the
+// kernels evaluate them over.
+inline constexpr std::uint32_t kMaxNetworkSamples = 32;
+inline constexpr std::uint32_t kMedianBlock = 8;
+
+// For every node b < nodes (1 <= nodes <= B), writes to out[b] the element
+// std::nth_element would place at position k / 2 of that node's samples
+// sample(b, 0), ..., sample(b, k - 1) — the median for odd k.  One network
+// pass serves all of them; 1 <= k <= kMaxNetworkSamples.
+template <std::size_t B, typename Sample>
+inline void block_medians(std::uint32_t k, std::uint32_t nodes,
+                          const Sample& sample, std::uint32_t* out) {
+  GQ_ASSERT(k >= 1 && k <= kMaxNetworkSamples && nodes >= 1 && nodes <= B);
+  if (k <= 16) {
+    rank_median_detail::network_medians<16, B>(k, nodes, sample, out);
+  } else {
+    rank_median_detail::network_medians<32, B>(k, nodes, sample, out);
+  }
+}
 
 // The element std::nth_element(samp, samp + k / 2, samp + k) would place at
 // position k / 2 — the median for odd k.  k >= 1; `samp` may be permuted.
 [[nodiscard]] inline std::uint32_t rank_median(std::uint32_t* samp,
                                                std::uint32_t k) {
-  if (k <= 16) return rank_median_detail::network_median<16>(samp, k);
-  if (k <= 32) return rank_median_detail::network_median<32>(samp, k);
+  if (k <= kMaxNetworkSamples) {
+    std::uint32_t median;
+    block_medians<1>(
+        k, 1, [samp](std::uint32_t, std::uint32_t j) { return samp[j]; },
+        &median);
+    return median;
+  }
   std::uint32_t* const mid = samp + k / 2;
   std::nth_element(samp, mid, samp + k);
   return *mid;

@@ -89,21 +89,35 @@ template <typename G>
 concept RandomGenerator = std::uniform_random_bit_generator<G> &&
                           std::same_as<typename G::result_type, std::uint64_t>;
 
-// Uniform integer in [0, bound) without modulo bias (Lemire's method).
+namespace rng_detail {
+
+__extension__ using u128 = unsigned __int128;
+
+// Lemire's rejection loop, entered with probability < bound / 2^64: redraws
+// while the product's low half falls below 2^64 mod bound.  Kept out of
+// line so the fast path inlines into the kernels' per-node draw loops.
 template <RandomGenerator G>
-std::uint64_t rand_index(G& gen, std::uint64_t bound) noexcept {
+[[gnu::cold, gnu::noinline]] std::uint64_t rand_index_reject(
+    G& gen, std::uint64_t bound, u128 m) noexcept {
+  const std::uint64_t threshold = -bound % bound;
+  while (static_cast<std::uint64_t>(m) < threshold) {
+    m = static_cast<u128>(gen()) * bound;
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
+
+}  // namespace rng_detail
+
+// Uniform integer in [0, bound) without modulo bias (Lemire's method): one
+// draw, one 64x64->128 multiply and one compare, unless that compare sends
+// the draw to the rejection loop.
+template <RandomGenerator G>
+[[gnu::always_inline]] inline std::uint64_t rand_index(
+    G& gen, std::uint64_t bound) noexcept {
   GQ_ASSERT(bound > 0);
-  __extension__ using u128 = unsigned __int128;
-  std::uint64_t x = gen();
-  u128 m = static_cast<u128>(x) * static_cast<u128>(bound);
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = gen();
-      m = static_cast<u128>(x) * static_cast<u128>(bound);
-      lo = static_cast<std::uint64_t>(m);
-    }
+  const rng_detail::u128 m = static_cast<rng_detail::u128>(gen()) * bound;
+  if (static_cast<std::uint64_t>(m) < bound) [[unlikely]] {
+    return rng_detail::rand_index_reject(gen, bound, m);
   }
   return static_cast<std::uint64_t>(m >> 64);
 }

@@ -1061,10 +1061,14 @@ TEST(Scatter, NestedScatterFallsBackToPrivateStorage) {
 // blocked-gather transcript (states, outcome structs, Metrics) must match
 // the sequential Network path at every block size — degenerate one-node
 // blocks, blocks that straddle shard boundaries, and blocks larger than
-// any shard — at 1, 2, and 8 threads.
+// any shard — at 1, 2, and 8 threads.  The 3-TOURNAMENT's final sample
+// runs at K = 15 and 31 (the 16- and 32-wire median networks over 8-node
+// blocks; the 121-node tail shard ends in a one-node block) and at K = 33
+// (nth_element per node).
 TEST(EngineKernels, GatherBlockSweepMatchesCoreForEveryKernel) {
   constexpr std::uint32_t kN = 3001;  // not a multiple of the shard size
   constexpr std::uint64_t kSeed = 131;
+  constexpr std::uint32_t kFinalSamples[] = {15, 31, 33};
   const auto keys =
       make_keys(generate_values(Distribution::kUniformReal, kN, 47));
 
@@ -1072,9 +1076,18 @@ TEST(EngineKernels, GatherBlockSweepMatchesCoreForEveryKernel) {
   std::vector<Key> seq_two_state(keys.begin(), keys.end());
   const auto seq_two = two_tournament(net_two, seq_two_state, 0.3, 0.1);
 
-  Network net_three(kN, kSeed);
-  std::vector<Key> seq_three_state(keys.begin(), keys.end());
-  const auto seq_three = three_tournament(net_three, seq_three_state, 0.1);
+  struct ThreeRun {
+    ThreeTournamentOutcome result;
+    std::vector<Key> state;
+    Metrics metrics;
+  };
+  std::vector<ThreeRun> seq_three;
+  for (const std::uint32_t k : kFinalSamples) {
+    Network net(kN, kSeed);
+    std::vector<Key> state(keys.begin(), keys.end());
+    auto result = three_tournament(net, state, 0.1, k);
+    seq_three.push_back({std::move(result), std::move(state), net.metrics()});
+  }
 
   for (unsigned threads : kThreadCounts) {
     for (const std::uint32_t block : {1u, 7u, 64u, 1u << 20}) {
@@ -1090,17 +1103,21 @@ TEST(EngineKernels, GatherBlockSweepMatchesCoreForEveryKernel) {
         EXPECT_EQ(engine.metrics(), net_two.metrics())
             << "threads=" << threads << " block=" << block;
       }
-      {
+      for (std::size_t i = 0; i < std::size(kFinalSamples); ++i) {
+        const ThreeRun& seq = seq_three[i];
         Engine engine(kN, kSeed, FailureModel{}, cfg);
         std::vector<Key> state(keys.begin(), keys.end());
-        const auto par = three_tournament(engine, state, 0.1);
-        EXPECT_EQ(par.iterations, seq_three.iterations);
-        EXPECT_EQ(par.outputs, seq_three.outputs)
-            << "threads=" << threads << " block=" << block;
-        EXPECT_EQ(state, seq_three_state)
-            << "threads=" << threads << " block=" << block;
-        EXPECT_EQ(engine.metrics(), net_three.metrics())
-            << "threads=" << threads << " block=" << block;
+        const auto par = three_tournament(engine, state, 0.1, kFinalSamples[i]);
+        EXPECT_EQ(par.iterations, seq.result.iterations);
+        EXPECT_EQ(par.outputs, seq.result.outputs)
+            << "threads=" << threads << " block=" << block
+            << " K=" << kFinalSamples[i];
+        EXPECT_EQ(state, seq.state)
+            << "threads=" << threads << " block=" << block
+            << " K=" << kFinalSamples[i];
+        EXPECT_EQ(engine.metrics(), seq.metrics)
+            << "threads=" << threads << " block=" << block
+            << " K=" << kFinalSamples[i];
       }
     }
   }

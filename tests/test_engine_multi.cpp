@@ -40,25 +40,34 @@ void expect_same(const MultiQuantileResult& par, const MultiQuantileResult& seq,
   EXPECT_TRUE(par.metrics == seq.metrics) << label;
 }
 
+// 4096 nodes fill every 8-node block of the final sample's median network;
+// 4093 leave a 5-node block at the tail shard, here at K = 31 (32 wires).
 TEST(EngineMulti, SharedScheduleMatchesNetwork) {
-  constexpr std::uint32_t kN = 4096;
   constexpr std::uint64_t kSeed = 601;
-  const auto values = generate_values(Distribution::kUniformReal, kN, 19);
+  const struct {
+    std::uint32_t n;
+    std::uint32_t final_sample_size;
+  } cases[] = {{4096, 15}, {4093, 31}};
+  for (const auto& c : cases) {
+    const auto values = generate_values(Distribution::kUniformReal, c.n, 19);
 
-  MultiQuantileParams params;
-  params.phis = {0.5, 0.9, 0.99, 0.999};
-  params.eps = 0.15;  // above eps_tournament_floor(4096) = 0.125
+    MultiQuantileParams params;
+    params.phis = {0.5, 0.9, 0.99, 0.999};
+    params.eps = 0.15;  // above eps_tournament_floor(4096) = 0.125
+    params.final_sample_size = c.final_sample_size;
 
-  Network net(kN, kSeed);
-  const MultiQuantileResult seq = multi_quantile(net, values, params);
-  ASSERT_TRUE(seq.shared_schedule);
+    Network net(c.n, kSeed);
+    const MultiQuantileResult seq = multi_quantile(net, values, params);
+    ASSERT_TRUE(seq.shared_schedule);
 
-  for (unsigned threads : kThreadCounts) {
-    Engine engine(kN, kSeed, FailureModel{},
-                  EngineConfig{.threads = threads, .shard_size = 192});
-    const MultiQuantileResult par = multi_quantile(engine, values, params);
-    expect_same(par, seq, "shared");
-    EXPECT_EQ(engine.metrics(), net.metrics()) << "threads=" << threads;
+    for (unsigned threads : kThreadCounts) {
+      Engine engine(c.n, kSeed, FailureModel{},
+                    EngineConfig{.threads = threads, .shard_size = 192});
+      const MultiQuantileResult par = multi_quantile(engine, values, params);
+      expect_same(par, seq, "shared");
+      EXPECT_EQ(engine.metrics(), net.metrics())
+          << "n=" << c.n << " threads=" << threads;
+    }
   }
 }
 

@@ -500,50 +500,87 @@ TEST(KeyInterner, RejectsNaNAndKeepsThePreviousTable) {
   expect_matches_reference(interner, keys, ranks);
 }
 
-// ---- rank_median == nth_element -------------------------------------------
+// ---- rank_median == block_medians == nth_element ---------------------------
 
 // Every k in [1, 65] — odd, as the kernels force, and even — spans both
 // network widths (16 and 32 wires) and the nth_element fallback above 32.
+// For k <= 32 the blocked evaluator must give every node's median at every
+// block fill from 1 to kMedianBlock.  Values span the whole uint32_t range:
+// the pads' own values 0 and 2^32 - 1, and 2^31 - 1 and 2^31 on either side
+// of the lanes' sign bias.
 TEST(RankMedian, MatchesNthElementForEveryK) {
   std::mt19937_64 rng(11);
   constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
-  std::uniform_int_distribution<int> domain(0, 2);
+  const std::uint32_t values[] = {0, 1, 0x7fffffffu, 0x80000000u, kMax};
+  std::uniform_int_distribution<std::size_t> domain(0, std::size(values) - 1);
   for (std::uint32_t k = 1; k <= 65; ++k) {
     for (int trial = 0; trial < 200; ++trial) {
-      std::vector<std::uint32_t> samp(k);
-      if (trial % 2 == 0) {
-        // Distinct: an odd stride is a bijection mod 2^32.
-        const auto base = static_cast<std::uint32_t>(rng());
-        const auto stride = static_cast<std::uint32_t>(rng()) | 1u;
-        for (std::uint32_t i = 0; i < k; ++i) samp[i] = base + i * stride;
-        std::shuffle(samp.begin(), samp.end(), rng);
-      } else {
-        // Duplicate-heavy, on the networks' own pad values 0 and kMax.
-        const std::uint32_t values[] = {0, 1, kMax};
-        for (std::uint32_t& x : samp) x = values[domain(rng)];
+      std::vector<std::vector<std::uint32_t>> node(
+          kMedianBlock, std::vector<std::uint32_t>(k));
+      std::vector<std::uint32_t> expected(kMedianBlock);
+      for (std::uint32_t b = 0; b < kMedianBlock; ++b) {
+        std::vector<std::uint32_t>& samp = node[b];
+        if (trial % 2 == 0) {
+          // Distinct: an odd stride is a bijection mod 2^32.
+          const auto base = static_cast<std::uint32_t>(rng());
+          const auto stride = static_cast<std::uint32_t>(rng()) | 1u;
+          for (std::uint32_t i = 0; i < k; ++i) samp[i] = base + i * stride;
+          std::shuffle(samp.begin(), samp.end(), rng);
+        } else {
+          // Duplicate-heavy, on the boundary values.
+          for (std::uint32_t& x : samp) x = values[domain(rng)];
+        }
+        std::vector<std::uint32_t> ref = samp;
+        std::nth_element(ref.begin(), ref.begin() + k / 2, ref.end());
+        expected[b] = ref[k / 2];
       }
-      std::vector<std::uint32_t> ref = samp;
-      std::nth_element(ref.begin(), ref.begin() + k / 2, ref.end());
-      EXPECT_EQ(rank_median(samp.data(), k), ref[k / 2])
+      std::vector<std::uint32_t> scratch = node[0];
+      EXPECT_EQ(rank_median(scratch.data(), k), expected[0])
           << "k=" << k << " trial=" << trial;
+      if (k > kMaxNetworkSamples) continue;
+      for (std::uint32_t fill = 1; fill <= kMedianBlock; ++fill) {
+        std::uint32_t out[kMedianBlock];
+        block_medians<kMedianBlock>(
+            k, fill,
+            [&](std::uint32_t b, std::uint32_t j) { return node[b][j]; }, out);
+        for (std::uint32_t b = 0; b < fill; ++b) {
+          EXPECT_EQ(out[b], expected[b]) << "k=" << k << " trial=" << trial
+                                         << " fill=" << fill << " b=" << b;
+        }
+      }
     }
   }
 }
 
 // By the 0-1 principle, a comparator network that selects the median of
 // every 0/1 input selects it for every input: this proves the 16-wire
-// network (every k <= 16, the default K = 15 included) exhaustively.
+// network (every k <= 16, the default K = 15 included) exhaustively, one
+// node at a time and in blocks of consecutive inputs (the last block of
+// each k, and every block for k < 3, partial).
 TEST(RankMedian, SixteenWireNetworkIsExactOnEveryZeroOneInput) {
   for (std::uint32_t k = 1; k <= 16; ++k) {
-    for (std::uint32_t bits = 0; bits < (1u << k); ++bits) {
-      std::uint32_t samp[16];
-      for (std::uint32_t i = 0; i < k; ++i) samp[i] = (bits >> i) & 1u;
-      const std::uint32_t ones = static_cast<std::uint32_t>(
-          std::popcount(bits));
-      // The k / 2-th smallest is 1 iff fewer than k / 2 + 1 zeros.
-      const std::uint32_t expected = k - ones <= k / 2 ? 1u : 0u;
-      ASSERT_EQ(rank_median(samp, k), expected)
-          << "k=" << k << " bits=" << bits;
+    const std::uint32_t inputs = 1u << k;
+    for (std::uint32_t base = 0; base < inputs; base += kMedianBlock) {
+      const std::uint32_t fill = std::min(kMedianBlock, inputs - base);
+      std::uint32_t blocked[kMedianBlock];
+      block_medians<kMedianBlock>(
+          k, fill,
+          [&](std::uint32_t b, std::uint32_t j) {
+            return ((base + b) >> j) & 1u;
+          },
+          blocked);
+      for (std::uint32_t b = 0; b < fill; ++b) {
+        const std::uint32_t bits = base + b;
+        std::uint32_t samp[16];
+        for (std::uint32_t i = 0; i < k; ++i) samp[i] = (bits >> i) & 1u;
+        const std::uint32_t ones = static_cast<std::uint32_t>(
+            std::popcount(bits));
+        // The k / 2-th smallest is 1 iff fewer than k / 2 + 1 zeros.
+        const std::uint32_t expected = k - ones <= k / 2 ? 1u : 0u;
+        ASSERT_EQ(rank_median(samp, k), expected)
+            << "k=" << k << " bits=" << bits;
+        ASSERT_EQ(blocked[b], expected) << "k=" << k << " bits=" << bits;
+      }
     }
   }
 }
