@@ -5,6 +5,8 @@
 // experiment harness can sweep.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <span>
 #include <vector>
 
 #include "agg/push_sum.hpp"
@@ -52,9 +54,12 @@ BENCHMARK(BM_PullRound)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 void BM_PushSumRound(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto xs = generate_values(Distribution::kUniformReal, n, 1);
+  std::vector<std::array<double, 1>> lanes(n);
+  for (std::uint32_t v = 0; v < n; ++v) lanes[v][0] = xs[v];
   for (auto _ : state) {
     Network net(n, 5);
-    benchmark::DoNotOptimize(push_sum_average(net, xs, 1));
+    benchmark::DoNotOptimize(push_sum_average_multi<1>(
+        net, std::span<const std::array<double, 1>>(lanes), 1));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

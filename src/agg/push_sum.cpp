@@ -3,8 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#include "util/require.hpp"
-
 namespace gq {
 namespace {
 
@@ -34,29 +32,6 @@ std::uint64_t push_sum_rounds_for_exact(std::uint32_t n,
 
 std::uint64_t push_sum_rounds_for_exact(const Network& net) {
   return push_sum_rounds_for_exact(net.size(), net.failures());
-}
-
-PushSumResult push_sum_average(Network& net, std::span<const double> x,
-                               std::uint64_t rounds) {
-  const std::uint32_t n = net.size();
-  GQ_REQUIRE(x.size() == n, "one input value per node required");
-  std::vector<std::array<double, 1>> lanes(n);
-  for (std::uint32_t v = 0; v < n; ++v) lanes[v][0] = x[v];
-  const MultiPushSumResult<1> sum = push_sum_average_multi<1>(
-      net, std::span<const std::array<double, 1>>(lanes), rounds);
-
-  PushSumResult out;
-  out.rounds = sum.rounds;
-  out.estimates.resize(n);
-  for (std::uint32_t v = 0; v < n; ++v) out.estimates[v] = sum.estimates[v][0];
-  return out;
-}
-
-PushSumResult push_sum_sum(Network& net, std::span<const double> x,
-                           std::uint64_t rounds) {
-  PushSumResult res = push_sum_average(net, x, rounds);
-  for (auto& e : res.estimates) e *= static_cast<double>(net.size());
-  return res;
 }
 
 }  // namespace gq

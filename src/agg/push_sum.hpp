@@ -24,18 +24,13 @@
 
 namespace gq {
 
-struct PushSumResult {
-  std::vector<double> estimates;  // per-node estimate of the average
-  std::uint64_t rounds = 0;       // rounds consumed by this invocation
-};
-
 // Number of rounds after which every node's estimate has relative error
 // below roughly n^-3 w.h.p. in the failure-free model; scaled by 1/(1-mu)
-// under failures.  The one push-sum schedule: the default of every helper
-// below and of the counting entry points.  The (n, failures) overload is
-// the pure round-schedule logic shared with the parallel engine's batched
-// counting kernels — both executors must derive identical schedules or
-// their Metrics drift apart.
+// under failures.  The one push-sum schedule: the default of
+// push_sum_average_multi below and of the counting entry points.  The
+// (n, failures) overload is the pure round-schedule logic shared with the
+// parallel engine's batched counting kernels — both executors must derive
+// identical schedules or their Metrics drift apart.
 [[nodiscard]] std::uint64_t push_sum_rounds_for_exact(
     std::uint32_t n, const FailureModel& failures);
 [[nodiscard]] std::uint64_t push_sum_rounds_for_exact(const Network& net);
@@ -46,20 +41,6 @@ struct PushSumResult {
     std::size_t dims) noexcept {
   return 64 * (dims + 1);
 }
-
-// Runs push-sum for `rounds` rounds (0 = push_sum_rounds_for_exact) and
-// returns every node's estimate of avg(x).  x.size() must equal net.size().
-// The scalar case of push_sum_average_multi below, which is bit-identical
-// lane by lane.
-[[nodiscard]] PushSumResult push_sum_average(Network& net,
-                                             std::span<const double> x,
-                                             std::uint64_t rounds = 0);
-
-// Estimates sum(x) at every node: push_sum_average scaled by n (node count
-// is global knowledge in the model).
-[[nodiscard]] PushSumResult push_sum_sum(Network& net,
-                                         std::span<const double> x,
-                                         std::uint64_t rounds = 0);
 
 // D-dimensional push-sum: averages D per-node vectors in a single protocol
 // run with a shared weight coordinate (messages carry D+1 reals, still O(1)

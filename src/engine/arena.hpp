@@ -23,13 +23,12 @@
 // first-touch placement a NUMA allocator wants.  Delivery reads cross
 // rows, but reads are the cheap direction.
 //
-// Checkout is exclusive: one collective at a time (they run sequentially
-// inside a pipeline).  A nested Scatter — not something the pipelines do
-// today — receives nullptr from acquire() and falls back to private
-// storage, so nesting degrades to the old behaviour instead of corrupting
-// the arena.
+// Checkout is exclusive: one collective holds the arena at a time (they run
+// sequentially inside a pipeline, and none nests a Scatter inside another).
+// acquire() rejects a second checkout, so a nested Scatter throws instead
+// of corrupting the boxes its holder is filling.
 //
-// The growth counters exist for the allocation-freeness tests: after a
+// The growth counter exists for the allocation-freeness tests: after a
 // warmup run, a bit-identical rerun must leave grow_events() unchanged.
 #pragma once
 
@@ -41,6 +40,8 @@
 #include <span>
 #include <type_traits>
 #include <vector>
+
+#include "util/require.hpp"
 
 namespace gq {
 
@@ -83,11 +84,14 @@ class ScatterArena {
     std::size_t used = 0;          // bytes holding live records
   };
 
-  // Claims `count` boxes with `used` reset and capacity preserved, or
-  // returns nullptr when the arena is already checked out.  The pointer is
-  // valid until release(); the box table never moves mid-checkout.
+  // Claims `count` boxes with `used` reset and capacity preserved; throws
+  // std::invalid_argument when the arena is already checked out.  The
+  // pointer is valid until release(); the box table never moves
+  // mid-checkout.
   [[nodiscard]] Box* acquire(std::size_t count) {
-    if (in_use_) return nullptr;
+    GQ_REQUIRE(!in_use_,
+               "the scatter arena is already checked out; scatters do not "
+               "nest");
     if (boxes_.size() < count) boxes_.resize(count);
     for (std::size_t i = 0; i < count; ++i) boxes_[i].used = 0;
     in_use_ = true;
@@ -96,26 +100,17 @@ class ScatterArena {
 
   void release() noexcept { in_use_ = false; }
 
-  // Geometric growth policy, shared with Scatter's non-arena fallback.
-  // The floor is deliberately small: a mailbox table can hold thousands of
-  // boxes, and over-sized floors fragment the delivery read path across
-  // mostly-empty pages; doubling reaches any realistic box volume in a few
-  // warmup rounds.
-  [[nodiscard]] static std::size_t next_capacity(const Box& box,
-                                                 std::size_t min_bytes) {
+  // Grows `box` to hold at least `min_bytes`, geometrically.  The floor is
+  // deliberately small: a mailbox table can hold thousands of boxes, and
+  // over-sized floors fragment the delivery read path across mostly-empty
+  // pages; doubling reaches any realistic box volume in a few warmup
+  // rounds.  Called concurrently for *different* boxes (each row has one
+  // writer), hence the atomic counter.
+  void grow(Box& box, std::size_t min_bytes) {
     const std::size_t doubled = box.bytes.size() * 2;
     const std::size_t floor = std::size_t{1} << 8;
-    return std::max(min_bytes, std::max(doubled, floor));
-  }
-
-  // Grows `box` to hold at least `min_bytes`.  Called concurrently for
-  // *different* boxes (each row has one writer), hence the atomic stats.
-  void grow(Box& box, std::size_t min_bytes) {
-    const std::size_t cap = next_capacity(box, min_bytes);
-    reserved_bytes_.fetch_add(cap - box.bytes.size(),
-                              std::memory_order_relaxed);
     grow_events_.fetch_add(1, std::memory_order_relaxed);
-    box.bytes.resize(cap);
+    box.bytes.resize(std::max(min_bytes, std::max(doubled, floor)));
   }
 
   // ---- instrumentation --------------------------------------------------
@@ -127,16 +122,10 @@ class ScatterArena {
     return grow_events_.load(std::memory_order_relaxed);
   }
 
-  // Total bytes of mailbox capacity currently reserved.
-  [[nodiscard]] std::uint64_t reserved_bytes() const noexcept {
-    return reserved_bytes_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::vector<Box> boxes_;
   bool in_use_ = false;
   std::atomic<std::uint64_t> grow_events_{0};
-  std::atomic<std::uint64_t> reserved_bytes_{0};
 };
 
 }  // namespace gq

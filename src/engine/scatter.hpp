@@ -29,16 +29,17 @@
 // Mailboxes live in the engine's ScatterArena (engine/arena.hpp): a Scatter
 // checks the rows x partitions box table out for its lifetime and returns
 // it, so mailbox capacity persists across rounds, pipeline stages, and
-// payload types — steady-state rounds allocate nothing.  Records are
-// memcpy-framed into the byte boxes, which is why payloads must be
-// trivially copyable (they model wire messages; all of ours are).
+// payload types — steady-state rounds allocate nothing.  One Scatter holds
+// the arena at a time; constructing a second while the first is alive
+// throws std::invalid_argument.  Records are memcpy-framed into the byte
+// boxes, which is why payloads must be trivially copyable (they model wire
+// messages; all of ours are).
 #pragma once
 
 #include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "engine/arena.hpp"
 #include "engine/engine.hpp"
@@ -116,20 +117,10 @@ class Mailboxes {
   static_assert(alignof(Record) <= alignof(std::max_align_t));
 
   Mailboxes(Engine& engine, const ScatterLayout& layout)
-      : layout_(layout), arena_(&engine.scatter_arena()) {
-    const std::size_t count = layout_.rows * layout_.partitions;
-    boxes_ = arena_->acquire(count);
-    if (boxes_ == nullptr) {
-      // The arena is checked out by an enclosing collective; nest with
-      // private mailboxes instead (pre-arena behaviour).
-      arena_ = nullptr;
-      own_.resize(count);
-      boxes_ = own_.data();
-    }
-  }
-  ~Mailboxes() {
-    if (arena_ != nullptr) arena_->release();
-  }
+      : layout_(layout),
+        arena_(engine.scatter_arena()),
+        boxes_(arena_.acquire(layout_.rows * layout_.partitions)) {}
+  ~Mailboxes() { arena_.release(); }
 
   Mailboxes(const Mailboxes&) = delete;
   Mailboxes& operator=(const Mailboxes&) = delete;
@@ -151,12 +142,7 @@ class Mailboxes {
 
   void append(ScatterArena::Box& b, const Record& record) {
     if (b.used + sizeof(Record) > b.bytes.size()) {
-      if (arena_ != nullptr) {
-        arena_->grow(b, b.used + sizeof(Record));
-      } else {
-        b.bytes.resize(
-            ScatterArena::next_capacity(b, b.used + sizeof(Record)));
-      }
+      arena_.grow(b, b.used + sizeof(Record));
     }
     ::new (static_cast<void*>(b.bytes.data() + b.used)) Record(record);
     b.used += sizeof(Record);
@@ -195,43 +181,36 @@ class Mailboxes {
 
  private:
   ScatterLayout layout_;
-  ScatterArena* arena_;  // null when nested: own_ backs the boxes instead
+  ScatterArena& arena_;
   ScatterArena::Box* boxes_;
-  std::vector<ScatterArena::Box> own_;
 };
 
 }  // namespace scatter_detail
 
-// Order-preserving scatter: deliver() applies payloads to each destination
-// in ascending sender order.  Use for floating-point folds and for payloads
-// whose arrival order is observable (e.g. token lists).
+// Order-preserving scatter: deliver_prefetch() applies payloads to each
+// destination in ascending sender order.  Use for floating-point folds and
+// for payloads whose arrival order is observable (e.g. token lists).
 template <typename Payload>
 class Scatter {
  public:
+  // Checks the engine's mailbox arena out until destruction; throws
+  // std::invalid_argument if another Scatter on `engine` still holds it.
   explicit Scatter(Engine& engine)
       : layout_(ScatterLayout::for_engine(engine)), boxes_(engine, layout_) {}
-
-  [[nodiscard]] const ScatterLayout& layout() const noexcept {
-    return layout_;
-  }
 
   // Clears every mailbox, keeping capacity for the next round.
   void begin_round() { boxes_.clear_all(); }
 
-  // Queues one payload.  Must be called from the engine shard that owns
-  // `sender` (each row is written by exactly one task); senders within a
-  // shard must send in ascending node order, which every node-loop kernel
-  // does naturally.
-  void send(std::uint32_t sender, std::uint32_t dest, Payload payload) {
-    boxes_.append(boxes_.box(layout_.row_of(sender), layout_.partition_of(dest)),
-                  Record{dest, std::move(payload)});
-  }
-
-  // Per-shard send handle: resolves the mailbox row once per shard task
-  // instead of once per message (the row division is real cost at a
-  // million sends per round).  Same ordering contract as send().
+  // Per-shard send handle: resolves the shard's mailbox row once per shard
+  // task instead of once per message (the row division is real cost at a
+  // million sends per round).  Use a handle only inside the engine shard
+  // task whose node range it was made for (each row is written by exactly
+  // one task), and send in ascending sender order within the shard, which
+  // every node-loop kernel does naturally: that order is what delivery
+  // replays per destination.
   class Sender {
    public:
+    // Queues one payload for `dest`.
     void send(std::uint32_t dest, Payload payload) {
       scatter_->boxes_.append(row_[scatter_->layout_.partition_of(dest)],
                               Record{dest, std::move(payload)});
@@ -253,31 +232,12 @@ class Scatter {
   // Applies fold(dest, payload) for every queued record, partitions in
   // parallel, per-destination in ascending sender order.  fold must write
   // only destination-indexed state (destinations of distinct partitions are
-  // disjoint by construction).  Every deliver flavour forwards into the
-  // full deliver_prefetch form (no-op stages compile away), so the
-  // delivery walk exists exactly once.
-  template <typename Fold>
-  void deliver(Engine& engine, Fold&& fold) {
-    deliver_prefetch(engine, std::forward<Fold>(fold),
-                     [](std::uint32_t) {});
-  }
-
-  // Like deliver, but runs prologue(first, last) over the partition's
-  // destination range before folding — the idiomatic place to zero
-  // per-destination accumulators while the range is cache-resident.
-  template <typename Prologue, typename Fold>
-  void deliver(Engine& engine, Prologue&& prologue, Fold&& fold) {
-    deliver_prefetch(engine, std::forward<Prologue>(prologue),
-                     std::forward<Fold>(fold),
-                     [](std::uint32_t, std::uint32_t) {},
-                     [](std::uint32_t) {});
-  }
-
-  // deliver() with a destination prefetch hint: touch(dest) is called a few
-  // records ahead of fold(dest, payload), so the fold's random-indexed
-  // accumulator line is already in flight when the record is applied.  The
-  // hint must have no observable effect (issue prefetches, nothing else);
-  // fold order and results are exactly those of deliver().
+  // disjoint by construction).  touch(dest) is a destination prefetch hint,
+  // called a few records ahead of fold(dest, payload) so the fold's
+  // random-indexed accumulator line is already in flight when the record
+  // is applied; it must have no observable effect (issue prefetches,
+  // nothing else).  This form forwards into the full-round form below (its
+  // no-op stages compile away), so the delivery walk exists exactly once.
   template <typename Fold, typename Touch>
   void deliver_prefetch(Engine& engine, Fold&& fold, Touch&& touch) {
     deliver_prefetch(engine, [](std::uint32_t, std::uint32_t) {},
@@ -286,12 +246,13 @@ class Scatter {
                      std::forward<Touch>(touch));
   }
 
-  // Full-round form: prologue(first, last), the fold, then
-  // epilogue(first, last) over the same range — so a collective can zero
-  // its accumulators, fold the incoming payloads, and commit them to the
-  // per-node state in one parallel section while the partition is
-  // cache-resident, instead of paying a separate whole-array pass.
-  // Identical fold order, so results stay bit-identical.
+  // Full-round form: prologue(first, last) over the partition's
+  // destination range, the fold, then epilogue(first, last) over the same
+  // range — so a collective can zero its accumulators, fold the incoming
+  // payloads, and commit them to the per-node state in one parallel
+  // section while the partition is cache-resident, instead of paying a
+  // separate whole-array pass.  Identical fold order, so results stay
+  // bit-identical.
   template <typename Prologue, typename Fold, typename Epilogue,
             typename Touch>
   void deliver_prefetch(Engine& engine, Prologue&& prologue, Fold&& fold,

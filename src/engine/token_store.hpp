@@ -19,9 +19,9 @@
 // The inline slab is sized for the common case: random scattering keeps
 // per-node load at O(log n / log log n) w.h.p. and the split caps total
 // tokens at 4n/5, so nodes holding more than kInlineCap tokens are rare.
-// Overflow growth is counted (atomically — delivery tasks push
-// concurrently for different nodes) so the allocation-freeness tests can
-// pin "warm rerun allocates nothing".
+// EngineSteadyState.TokenSplitAllocatesOnlyItsResult
+// (tests/test_engine_alloc.cpp) pins that a warm rerun of the split
+// allocates nothing but its result.
 //
 // Concurrency contract: a node's list is mutated by at most one task per
 // parallel section (its shard's kernel while sending, its destination
@@ -29,7 +29,6 @@
 // slot in the engine.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -49,7 +48,6 @@ class TokenStore {
   // clear_node(v) for every node from its owning shard, which both resets
   // the list and first-touches the node's slots on that worker.
   void ensure(std::uint32_t n) {
-    n_ = n;
     if (inline_slots_.size() < static_cast<std::size_t>(n) * kInlineCap) {
       inline_slots_.resize(static_cast<std::size_t>(n) * kInlineCap);
     }
@@ -88,11 +86,8 @@ class TokenStore {
       inline_slots_[static_cast<std::size_t>(v) * kInlineCap + i] = t;
       return;
     }
-    auto& of = overflow_[v];
-    if (of.size() == of.capacity()) {
-      overflow_allocs_.fetch_add(1, std::memory_order_relaxed);
-    }
-    of.push_back(t);  // invariant: of.size() == count_[v] - 1 - kInlineCap
+    // Invariant: overflow_[v].size() == count_[v] - 1 - kInlineCap.
+    overflow_[v].push_back(t);
   }
 
   void pop_back(std::uint32_t v) {
@@ -108,18 +103,10 @@ class TokenStore {
     prefetch_read(&inline_slots_[static_cast<std::size_t>(v) * kInlineCap]);
   }
 
-  // Overflow-vector growths since construction; standing still across a
-  // warm rerun is the store's allocation-freeness criterion.
-  [[nodiscard]] std::uint64_t overflow_allocs() const noexcept {
-    return overflow_allocs_.load(std::memory_order_relaxed);
-  }
-
  private:
-  std::uint32_t n_ = 0;
   std::vector<Token> inline_slots_;       // n * kInlineCap flat slots
   std::vector<std::uint32_t> count_;      // tokens held per node
   std::vector<std::vector<Token>> overflow_;  // slots beyond kInlineCap
-  std::atomic<std::uint64_t> overflow_allocs_{0};
 };
 
 }  // namespace gq

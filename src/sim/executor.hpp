@@ -173,12 +173,6 @@ class ExecutorCore {
     return streams::sample_peer(v, n_, stream);
   }
 
-  // Default message budget of the model: Theta(log n) bits, computed as
-  // 2*ceil(log2 n) — one value plus one tag word.
-  [[nodiscard]] std::uint64_t default_message_bits() const noexcept {
-    return gq::default_message_bits(n_);
-  }
-
   // ---- pooled scratch ----------------------------------------------------
 
   // Executor-pooled working storage for collectives: one default-constructed

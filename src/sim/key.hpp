@@ -14,7 +14,6 @@
 // id and tag (indices).  Message-size accounting uses key_bits().
 #pragma once
 
-#include <bit>
 #include <compare>
 #include <cstdint>
 #include <limits>
@@ -57,15 +56,6 @@ struct Key {
   std::uint64_t log2n = 1;
   while ((1ull << log2n) < n) ++log2n;
   return 64 + 2 * log2n;
-}
-
-// Default message budget of the model: Theta(log n) bits, computed as
-// 2*ceil(log2 n) — one value plus one tag word.  Shared by Network and
-// Engine so the two executors cannot drift.
-[[nodiscard]] constexpr std::uint64_t default_message_bits(
-    std::uint32_t n) noexcept {
-  return 2 * static_cast<std::uint64_t>(
-                 std::bit_width(static_cast<std::uint64_t>(n) - 1));
 }
 
 }  // namespace gq

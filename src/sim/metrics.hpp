@@ -6,6 +6,14 @@
 // messages exchanged, and bits on the wire (message sizes are accounted, not
 // serialized).
 //
+// Billed sizes are the model's analytic budgets, not an encoding.  A key is
+// billed key_bits(n) (sim/key.hpp); a self-contained key encoding needs 10
+// bits more — a 2-bit kind tag for the two sentinels and the 8-bit iteration
+// field of the duplication tag — so key and pivot messages are billed about
+// 11% below such an encoding at n = 2^14, where key_bits is 92.  Tokens are
+// billed key_bits(n) plus bit_width(multiplier) weight bits
+// (core/token_split.hpp).
+//
 // Alongside the plain counters, Metrics keeps a cumulative per-size message
 // count (`size_counts`).  Protocols use only a handful of distinct message
 // sizes per run, so the table stays tiny, and it is what makes phase

@@ -236,12 +236,6 @@ TEST(Engine, PullRoundTranscriptMatchesNetworkAtEveryThreadCount) {
   }
 }
 
-TEST(Engine, DefaultMessageBitsMatchesNetwork) {
-  Network net(1 << 20, 1);
-  Engine engine(1 << 20, 1, FailureModel{}, EngineConfig{.threads = 1});
-  EXPECT_EQ(engine.default_message_bits(), net.default_message_bits());
-}
-
 // The median rule ([DGM+11]) on the engine must reproduce the sequential
 // baseline exactly — outputs, rounds and Metrics — failure-free and under
 // a failure model (where a node whose first pull failed skips its second),
@@ -360,15 +354,19 @@ TEST(Scatter, DeliversInAscendingSenderOrder) {
       // Node v sends its id to two destinations derived from v.
       engine.parallel_shards(
           [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
+            auto out = scatter.sender_for(begin);
             for (std::uint32_t v = begin; v < end; ++v) {
-              scatter.send(v, (v * 7 + 3) % kN, v);
-              scatter.send(v, (v * 5 + 11) % kN, v);
+              out.send((v * 7 + 3) % kN, v);
+              out.send((v * 5 + 11) % kN, v);
             }
           });
       std::vector<std::vector<std::uint64_t>> got(kN);
-      scatter.deliver(engine, [&](std::uint32_t dest, std::uint64_t payload) {
-        got[dest].push_back(payload);
-      });
+      scatter.deliver_prefetch(
+          engine,
+          [&](std::uint32_t dest, std::uint64_t payload) {
+            got[dest].push_back(payload);
+          },
+          [](std::uint32_t) {});
 
       std::vector<std::vector<std::uint64_t>> want(kN);
       for (std::uint32_t v = 0; v < kN; ++v) {
@@ -1027,34 +1025,37 @@ TEST(EnginePipelines, BackToBackRunsReuseArenaBitIdentically) {
   }
 }
 
-// A Scatter constructed while another holds the engine's arena must fall
-// back to private mailboxes and still deliver correctly.
-TEST(Scatter, NestedScatterFallsBackToPrivateStorage) {
+// Scatters do not nest: a Scatter constructed while another holds the
+// engine's arena throws, the holder still delivers every record, and the
+// arena is free again once the holder is gone.
+TEST(Scatter, NestedScatterIsRejected) {
   constexpr std::uint32_t kN = 512;
   Engine engine(kN, 9, FailureModel{},
                 EngineConfig{.threads = 2, .shard_size = 64});
-  Scatter<std::uint64_t> outer(engine);
-  Scatter<std::uint64_t> inner(engine);  // arena busy: private boxes
-  outer.begin_round();
-  inner.begin_round();
-  engine.parallel_shards(
-      [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-        for (std::uint32_t v = begin; v < end; ++v) {
-          outer.send(v, (v + 1) % kN, v);
-          inner.send(v, (v + 2) % kN, v + 1000);
-        }
-      });
-  std::vector<std::uint64_t> from_outer(kN, 0), from_inner(kN, 0);
-  outer.deliver(engine, [&](std::uint32_t dest, std::uint64_t payload) {
-    from_outer[dest] = payload;
-  });
-  inner.deliver(engine, [&](std::uint32_t dest, std::uint64_t payload) {
-    from_inner[dest] = payload;
-  });
-  for (std::uint32_t v = 0; v < kN; ++v) {
-    EXPECT_EQ(from_outer[(v + 1) % kN], v);
-    EXPECT_EQ(from_inner[(v + 2) % kN], v + 1000);
+  {
+    Scatter<std::uint64_t> outer(engine);
+    EXPECT_THROW({ Scatter<std::uint64_t> inner(engine); },
+                 std::invalid_argument);
+    outer.begin_round();
+    engine.parallel_shards(
+        [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
+          auto out = outer.sender_for(begin);
+          for (std::uint32_t v = begin; v < end; ++v) {
+            out.send((v + 1) % kN, v);
+          }
+        });
+    std::vector<std::vector<std::uint64_t>> got(kN);
+    outer.deliver_prefetch(
+        engine,
+        [&](std::uint32_t dest, std::uint64_t payload) {
+          got[dest].push_back(payload);
+        },
+        [](std::uint32_t) {});
+    for (std::uint32_t v = 0; v < kN; ++v) {
+      EXPECT_EQ(got[(v + 1) % kN], std::vector<std::uint64_t>{v});
+    }
   }
+  EXPECT_NO_THROW({ Scatter<std::uint64_t> again(engine); });
 }
 
 // Gather block size is a pure performance knob: every rewritten kernel's

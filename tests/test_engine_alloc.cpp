@@ -23,6 +23,7 @@
 #include "core/two_tournament.hpp"
 #include "engine/engine.hpp"
 #include "engine/kernels.hpp"
+#include "engine/pipelines.hpp"
 #include "engine/scatter.hpp"
 #include "sim/key.hpp"
 #include "workload/distributions.hpp"
@@ -78,18 +79,18 @@ void steady_round(Engine& engine, Scatter<std::uint64_t>& scatter,
   scatter.begin_round();
   engine.parallel_shards(
       [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
-        for (std::uint32_t v = begin; v < end; ++v) {
-          scatter.send(v, peers[v], v);
-        }
+        auto out = scatter.sender_for(begin);
+        for (std::uint32_t v = begin; v < end; ++v) out.send(peers[v], v);
       });
-  scatter.deliver(
+  scatter.deliver_prefetch(
       engine,
       [&](std::uint32_t first, std::uint32_t last) {
         for (std::uint32_t v = first; v < last; ++v) sums[v] = 0;
       },
       [&](std::uint32_t dest, std::uint64_t payload) {
         sums[dest] += payload;
-      });
+      },
+      [](std::uint32_t, std::uint32_t) {}, [](std::uint32_t) {});
 }
 
 TEST(EngineSteadyState, RoundsAllocateNothingAfterWarmup) {
@@ -284,14 +285,18 @@ TEST(EngineSteadyState, ScatterArenaStopsGrowingOnFixedPattern) {
     scatter.begin_round();
     engine.parallel_shards(
         [&](std::uint32_t begin, std::uint32_t end, Metrics&) {
+          auto out = scatter.sender_for(begin);
           for (std::uint32_t v = begin; v < end; ++v) {
-            scatter.send(v, (v * 7 + 3) % kN, v);
-            scatter.send(v, (v * 5 + 11) % kN, v);
+            out.send((v * 7 + 3) % kN, v);
+            out.send((v * 5 + 11) % kN, v);
           }
         });
-    scatter.deliver(engine, [&](std::uint32_t dest, std::uint64_t payload) {
-      got[dest] += payload;
-    });
+    scatter.deliver_prefetch(
+        engine,
+        [&](std::uint32_t dest, std::uint64_t payload) {
+          got[dest] += payload;
+        },
+        [](std::uint32_t) {});
   };
 
   one_round();
@@ -299,6 +304,50 @@ TEST(EngineSteadyState, ScatterArenaStopsGrowingOnFixedPattern) {
   EXPECT_GT(grows_warm, 0u);
   for (int r = 0; r < 20; ++r) one_round();
   EXPECT_EQ(engine.scatter_arena().grow_events(), grows_warm);
+}
+
+// Steady-state token split (Algorithm 3, Step 7): after one warm call has
+// grown the pooled TokenStore, the per-shard counters and the scatter
+// arena, a same-seed rerun on the same input returns the same instance,
+// grows no mailbox, and allocates exactly one block — the returned
+// instance.  Every 8th node is valued and the multiplier is 4, so n/2
+// tokens travel across 16 shards.  At this seed one node receives a fifth
+// token, past its kInlineCap inline slots, so the rerun also pins that a
+// cleared overflow vector keeps its capacity.
+TEST(EngineSteadyState, TokenSplitAllocatesOnlyItsResult) {
+  constexpr std::uint32_t kN = 4096;
+  constexpr std::uint64_t kSeed = 29;
+  constexpr std::uint64_t kMultiplier = 4;
+  constexpr std::uint64_t kTagBase = std::uint64_t{1} << 32;
+  const auto keys =
+      make_keys(generate_values(Distribution::kUniformReal, kN, 83));
+  std::vector<Key> inst(kN, Key::infinite());
+  for (std::uint32_t v = 0; v < kN; v += 8) inst[v] = keys[v];
+
+  for (unsigned threads : {1u, 2u, 8u}) {
+    Engine engine(kN, kSeed, FailureModel{},
+                  EngineConfig{.threads = threads, .shard_size = 256});
+    const TokenSplitResult warm =
+        token_split_distribute(engine, inst, kMultiplier, kTagBase);
+
+    engine.reset_stream(kSeed);
+    const std::uint64_t grows_before = engine.scatter_arena().grow_events();
+    const std::uint64_t allocs_before =
+        g_allocations.load(std::memory_order_relaxed);
+    const TokenSplitResult again =
+        token_split_distribute(engine, inst, kMultiplier, kTagBase);
+    const std::uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - allocs_before;
+
+    EXPECT_EQ(again.instance, warm.instance) << "threads=" << threads;
+    EXPECT_EQ(engine.scatter_arena().grow_events(), grows_before)
+        << "threads=" << threads;
+#if GQ_ALLOC_COUNTS_RELIABLE
+    EXPECT_EQ(allocs, 1u) << "threads=" << threads;
+#else
+    (void)allocs;
+#endif
+  }
 }
 
 }  // namespace

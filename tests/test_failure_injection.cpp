@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "agg/push_sum.hpp"
@@ -48,9 +50,12 @@ TEST(FailureInjection, PushSumConservesMassThroughBurst) {
   const auto xs = generate_values(Distribution::kExponential, kN, 7);
   const double truth =
       std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(kN);
+  std::vector<std::array<double, 1>> lanes(kN);
+  for (std::uint32_t v = 0; v < kN; ++v) lanes[v][0] = xs[v];
   // Generous round budget: the burst stalls diffusion for 30 rounds.
-  const auto r = push_sum_average(net, xs, 220);
-  for (double e : r.estimates) EXPECT_NEAR(e, truth, 1e-4);
+  const auto r = push_sum_average_multi<1>(
+      net, std::span<const std::array<double, 1>>(lanes), 220);
+  for (const auto& e : r.estimates) EXPECT_NEAR(e[0], truth, 1e-4);
 }
 
 TEST(FailureInjection, SpreadSurvivesTotalBlackout) {

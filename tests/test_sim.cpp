@@ -141,12 +141,6 @@ TEST(Network, PullRoundAccountsMessages) {
   EXPECT_EQ(net.metrics().failed_operations, 0u);
 }
 
-TEST(Network, DefaultMessageBitsIsLogarithmic) {
-  Network small(16, 1), big(1 << 20, 1);
-  EXPECT_EQ(small.default_message_bits(), 2 * 4u);
-  EXPECT_EQ(big.default_message_bits(), 2 * 20u);
-}
-
 TEST(FailureModel, NeverFailsByDefault) {
   const FailureModel fm;
   EXPECT_TRUE(fm.never_fails());
